@@ -60,6 +60,7 @@ OPTIONAL_FILES = (
     "src/sim/flight_table.cpp",
     "src/sim/policy.hpp",
     "src/util/phase_barrier.hpp",
+    "src/topology/arc_table.hpp",
 )
 
 #: Orchestrators are never inlined into a region's effect set: they *are*

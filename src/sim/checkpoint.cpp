@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -24,7 +25,7 @@ class CheckpointIO {
     // silently compute a different experiment.
     w.str(e.net_.name());
     w.u64(e.num_nodes_);
-    w.u32(static_cast<std::uint32_t>(e.num_dirs_));
+    w.u32(static_cast<std::uint32_t>(e.net_.num_dirs()));
     w.str(e.policy_.name());
     w.u64(e.config_.seed);
 
@@ -55,7 +56,7 @@ class CheckpointIO {
     const std::uint64_t nodes = r.u64();
     const std::uint32_t dirs = r.u32();
     HP_REQUIRE(nodes == e.num_nodes_ &&
-                   dirs == static_cast<std::uint32_t>(e.num_dirs_),
+                   dirs == static_cast<std::uint32_t>(e.net_.num_dirs()),
                "checkpoint topology shape does not match this engine");
     const std::string policy_name = r.str();
     HP_REQUIRE(policy_name == e.policy_.name(),
@@ -123,11 +124,23 @@ void save_checkpoint(const Engine& engine, std::ostream& out) {
 }
 
 void save_checkpoint(const Engine& engine, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  HP_REQUIRE(out.good(), "cannot create checkpoint file " + path);
-  CheckpointIO::save(engine, out);
-  out.flush();
-  HP_REQUIRE(out.good(), "write to checkpoint file " + path + " failed");
+  const std::string tmp = path + ".tmp";
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      HP_REQUIRE(out.good(), "cannot create checkpoint file " + tmp);
+      CheckpointIO::save(engine, out);
+      out.flush();
+      HP_REQUIRE(out.good(), "write to checkpoint file " + tmp + " failed");
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    HP_REQUIRE(!ec, "cannot rename " + tmp + ": " + ec.message());
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
+  }
 }
 
 void restore_checkpoint(Engine& engine, std::istream& in) {

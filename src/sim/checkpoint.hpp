@@ -31,13 +31,16 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// the in-memory arrival archive (or archive_arrivals off) — spill/sample
 /// archives hold state outside the checkpoint.
 void save_checkpoint(const Engine& engine, std::ostream& out);
+/// File form: writes a sibling temporary file and renames it over `path`
+/// only once the whole checkpoint is written and flushed, so a failed save
+/// leaves any previous checkpoint at `path` intact and no partial file.
 void save_checkpoint(const Engine& engine, const std::string& path);
 
 /// Restores a checkpoint into a freshly constructed engine (no steps run,
 /// no packets injected — use an empty workload::Problem). The engine must
 /// have been built over the same topology, policy, seed, and
-/// archive_arrivals flag the checkpoint names; the MemoryProfile may
-/// differ (the wire format is column-width independent).
+/// archive_arrivals flag the checkpoint names; the thread count may
+/// differ.
 void restore_checkpoint(Engine& engine, std::istream& in);
 void restore_checkpoint(Engine& engine, const std::string& path);
 

@@ -96,8 +96,7 @@ void sorted_insert(BucketT& bucket, PacketId id) {
 /// Occupancy-ownership shard count: a function of the node count ALONE.
 /// The owner-grouped occupied_ ordering depends on this value, so it must
 /// never vary with the thread count (or any other machine property) — one
-/// shard per 256 nodes keeps small determinism-corpus meshes on the exact
-/// legacy ordering while giving large networks enough owners to scale.
+/// shard per 256 nodes gives large networks enough owners to scale.
 std::size_t occupancy_shard_count(std::size_t num_nodes) {
   return std::clamp<std::size_t>(num_nodes / 256, 1, 32);
 }
@@ -120,9 +119,7 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
     : net_(net),
       policy_(policy),
       config_(config),
-      lean_(config.memory == MemoryProfile::kLean),
-      flight_(config.memory == MemoryProfile::kLean ? ColumnWidth::kCompact
-                                                    : ColumnWidth::kWide),
+      arcs_(net),
       occupancy_(net.num_nodes()),
       node_stamp_(net.num_nodes(), ~std::uint64_t{0}) {
   HP_REQUIRE(config_.num_threads >= 1 && config_.num_threads <= 512,
@@ -130,32 +127,10 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
   archive_.configure(config_.archive);
   archive_.set_keep_records(config_.archive_arrivals);
 
-  num_dirs_ = net.num_dirs();
   num_nodes_ = net.num_nodes();
-  const auto n = num_nodes_;
-  if (!lean_) {
-    degree_.resize(n);
-    avail_dirs_.resize(n);
-    neighbor_table_.resize(n * static_cast<std::size_t>(num_dirs_));
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto node = static_cast<net::NodeId>(v);
-      for (net::Dir d = 0; d < num_dirs_; ++d) {
-        const net::NodeId nb = net.neighbor(node, d);
-        neighbor_table_[v * static_cast<std::size_t>(num_dirs_) +
-                        static_cast<std::size_t>(d)] = nb;
-        if (nb != net::kInvalidNode) {
-          avail_dirs_[v].push_back(d);
-          ++degree_[v];
-        }
-      }
-    }
-  }
-
-  occ_shards_ = occupancy_shard_count(n);
-  if (occ_shards_ > 1) {
-    shards_.resize(occ_shards_);
-    scatter_.resize(occ_shards_ * occ_shards_);
-  }
+  occ_shards_ = occupancy_shard_count(num_nodes_);
+  shards_.resize(occ_shards_);
+  scatter_.resize(occ_shards_ * occ_shards_);
 
   problem.validate(net);
   inject(problem);
@@ -236,25 +211,12 @@ std::vector<Packet> Engine::snapshot_packets() const {
   return out;
 }
 
-net::DirList Engine::node_avail_dirs(net::NodeId node) const {
-  if (!lean_) return avail_dirs_[static_cast<std::size_t>(node)];
-  // Lean profile: probe the arcs on demand. Same ascending order the
-  // cache-building loop produces, so both profiles hand policies an
-  // identical NodeContext.
-  net::DirList dirs;
-  for (net::Dir d = 0; d < num_dirs_; ++d) {
-    if (net_.neighbor(node, d) != net::kInvalidNode) dirs.push_back(d);
-  }
-  return dirs;
-}
-
 EngineMemoryStats Engine::memory_stats() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   EngineMemoryStats stats;
-  stats.topology_bytes =
-      vec_bytes(degree_) + vec_bytes(avail_dirs_) + vec_bytes(neighbor_table_);
+  stats.topology_bytes = arcs_.memory_bytes();
   stats.occupancy_bytes =
       vec_bytes(occupancy_) + vec_bytes(occupied_) + vec_bytes(node_stamp_);
   stats.flight_bytes = flight_.memory_bytes();
@@ -425,22 +387,6 @@ void Engine::bucket_owner(std::size_t owner) {
 void Engine::build_occupancy() {
   occupied_.clear();
   const std::size_t slots = flight_.size();
-  if (occ_shards_ == 1) {
-    // Single-owner networks keep the exact legacy ordering (first seen in
-    // slot order) — the determinism corpus pins this path byte-for-byte.
-    for (FlightTable::Slot s = 0; s < flight_.end_slot(); ++s) {
-      const net::NodeId node = flight_.pos(s);
-      const auto n = static_cast<std::size_t>(node);
-      if (node_stamp_[n] != now_) {
-        node_stamp_[n] = now_;
-        occupancy_[n].clear();
-        occupied_.push_back(node);
-      }
-      sorted_insert(occupancy_[n], flight_.id(s));
-    }
-    return;
-  }
-
   if (barrier_ != nullptr && slots >= kParallelOccupancyCutoff) {
     run_sharded(TaskKind::kScan, occ_shards_, slots, obs::Phase::kOccupancy);
     run_sharded(TaskKind::kBucket, occ_shards_, occ_shards_,
@@ -504,7 +450,7 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
     occupancy_[node].clear();
     occupied_.push_back(src);
   }
-  if (static_cast<int>(occupancy_[node].size()) >= node_degree(src)) {
+  if (static_cast<int>(occupancy_[node].size()) >= arcs_.degree(src)) {
     return false;
   }
   ++next_id_;
@@ -517,11 +463,13 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
 
 void Engine::route_node(net::NodeId node, const Bucket& residents,
                         std::vector<Assignment>& out) {
-  HP_CHECK(static_cast<int>(residents.size()) <= node_degree(node),
+  HP_CHECK(static_cast<int>(residents.size()) <= arcs_.degree(node),
            "more packets at a node than its degree — model violation");
 
+  const std::uint32_t arcs_out = arcs_.out_mask(node);
   Rng node_rng(node_stream_seed(config_.seed, now_, node));
-  NodeContext ctx{net_, node, now_, node_avail_dirs(node), node_rng};
+  NodeContext ctx{net_, node, now_, net::dirlist_from_mask(arcs_out),
+                  node_rng};
 
   InlineVector<PacketView, 2 * net::kMaxDim> views;
   for (PacketId id : residents) {
@@ -554,9 +502,9 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     const net::Dir d = dirs[i];
     HP_CHECK(d >= 0 && d < net_.num_dirs(),
              "policy '" + policy_.name() + "' returned an invalid direction");
-    HP_CHECK(arc_target(node, d) != net::kInvalidNode,
-             "policy '" + policy_.name() + "' routed a packet off the mesh");
     const std::uint32_t bit = std::uint32_t{1} << d;
+    HP_CHECK((arcs_out & bit) != 0,
+             "policy '" + policy_.name() + "' routed a packet off the mesh");
     HP_CHECK((used_mask & bit) == 0,
              "policy '" + policy_.name() + "' put two packets on one arc");
     used_mask |= bit;
@@ -627,8 +575,8 @@ void Engine::move_range(std::size_t task, std::size_t begin,
     const FlightTable::Slot s = flight_.slot_of(a.pkt);
     HP_CHECK(s != FlightTable::kNoSlot,
              "assignment for a packet that is not in flight");
-    const net::NodeId to = arc_target(a.node, a.out);
-    HP_CHECK(to != net::kInvalidNode, "movement off the network");
+    // route_node() validated the arc, so the target is a real node.
+    const net::NodeId to = arcs_.target(a.node, a.out);
     flight_.move(s, to, a.out, a.advances, a.num_good);
     if (a.advances) {
       ++shard.advances;

@@ -42,9 +42,7 @@ class Network {
 
   /// Out-degree of `node` (number of directions with an existing arc).
   /// The base implementation probes every direction with neighbor();
-  /// topologies override it with closed forms — the engine's lean memory
-  /// profile calls this per injection / per routed node instead of keeping
-  /// an O(nodes) cache (docs/SCALE.md).
+  /// topologies override it with closed forms.
   virtual int degree(NodeId node) const;
 
   /// True iff an arc in direction `dir` leaves `node`.

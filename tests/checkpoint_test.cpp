@@ -1,13 +1,16 @@
 // Checkpoint/restore round-trips (docs/SCALE.md): a run interrupted at
 // step k and restored into a fresh engine must continue bit-for-bit — same
-// fingerprint, same statistics, same archive — for every thread count and
-// memory profile, and every corrupt or mismatched checkpoint must fail
-// with a clear error instead of undefined behavior.
+// fingerprint, same statistics, same archive — for every thread count, and
+// every corrupt or mismatched checkpoint must fail with a clear error
+// instead of undefined behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "routing/perverse.hpp"
@@ -27,6 +30,13 @@ using test::xy;
 
 using routing::RestrictedPriorityPolicy;
 using TieBreak = RestrictedPriorityPolicy::TieBreak;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
 
 workload::Problem restored_problem() {
   workload::Problem p;
@@ -184,9 +194,9 @@ TEST(CheckpointRoundTrip, ArchiveRecordsSurvive) {
   EXPECT_NE(tail.arrival_log().find(a[0].id), nullptr);
 }
 
-TEST(CheckpointRoundTrip, CrossProfileRestoreIsBitIdentical) {
-  // A checkpoint written by a default-profile engine restores into a lean
-  // one (and back): the wire format is column-width independent.
+TEST(CheckpointRoundTrip, CrossThreadRestoreIsBitIdentical) {
+  // A checkpoint written by a serial engine restores into a threaded one
+  // (and back): the thread count is not part of the state.
   constexpr std::uint64_t kTotal = 24;
   constexpr std::uint64_t kSplit = 7;
   net::Mesh mesh(2, 8);
@@ -197,28 +207,25 @@ TEST(CheckpointRoundTrip, CrossProfileRestoreIsBitIdentical) {
   full.run_for(kTotal);
   const std::uint64_t want = sim::state_fingerprint(full);
 
-  for (const bool head_lean : {false, true}) {
+  for (const auto& [head_threads, tail_threads] :
+       {std::pair{1, 4}, std::pair{4, 1}}) {
     auto head_problem = scenario(mesh);
     RestrictedPriorityPolicy head_policy;
-    auto head_config = scenario_config(1);
-    head_config.memory = head_lean ? sim::MemoryProfile::kLean
-                                   : sim::MemoryProfile::kDefault;
-    sim::Engine head(mesh, head_problem, head_policy, head_config);
+    sim::Engine head(mesh, head_problem, head_policy,
+                     scenario_config(head_threads));
     head.run_for(kSplit);
     std::ostringstream sink;
     sim::save_checkpoint(head, sink);
 
     auto tail_problem = restored_problem();
     RestrictedPriorityPolicy tail_policy;
-    auto tail_config = scenario_config(1);
-    tail_config.memory = head_lean ? sim::MemoryProfile::kDefault
-                                   : sim::MemoryProfile::kLean;
-    sim::Engine tail(mesh, tail_problem, tail_policy, tail_config);
+    sim::Engine tail(mesh, tail_problem, tail_policy,
+                     scenario_config(tail_threads));
     std::istringstream source(sink.str());
     sim::restore_checkpoint(tail, source);
     tail.run_for(kTotal - kSplit);
     EXPECT_EQ(sim::state_fingerprint(tail), want)
-        << "head_lean " << head_lean;
+        << "threads " << head_threads << " -> " << tail_threads;
   }
 }
 
@@ -378,6 +385,36 @@ TEST(CheckpointFailure, SpillArchiveCannotCheckpoint) {
   EXPECT_THROW(sim::save_checkpoint(engine, sink), CheckError);
   // The fingerprint stays defined even when checkpointing is not.
   EXPECT_NE(sim::state_fingerprint(engine), 0u);
+}
+
+TEST(CheckpointFailure, RejectedSaveKeepsThePreviousFile) {
+  // A save that fails part-way (a spill archive is rejected only after the
+  // header, counters and flight columns are written) must leave the last
+  // good checkpoint byte-identical and no temporary file behind.
+  net::Mesh mesh(2, 8);
+  const std::string path = testing::TempDir() + "hp_ckpt_atomic.hpck";
+  std::filesystem::remove(path);
+
+  auto good_problem = scenario(mesh);
+  RestrictedPriorityPolicy good_policy;
+  sim::Engine good(mesh, good_problem, good_policy, scenario_config(1));
+  good.run_for(9);
+  sim::save_checkpoint(good, path);
+  const std::string before = read_file(path);
+  ASSERT_FALSE(before.empty());
+
+  auto spill_problem = scenario(mesh);
+  RestrictedPriorityPolicy spill_policy;
+  auto config = scenario_config(1);
+  config.archive.mode = sim::ArchiveMode::kSpill;
+  config.archive.spill_path = testing::TempDir() + "hp_ckpt_atomic_spill.bin";
+  sim::Engine spill(mesh, spill_problem, spill_policy, config);
+  spill.run_for(9);
+  EXPECT_THROW(sim::save_checkpoint(spill, path), CheckError);
+
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 }  // namespace

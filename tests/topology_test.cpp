@@ -5,7 +5,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "topology/arc_table.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
@@ -348,9 +351,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MeshSweep,
                                             ::testing::Values(2, 3, 4, 5)));
 
 TEST(Degree, ClosedFormsMatchTheProbeLoop) {
-  // The lean engine profile answers degree() from the topologies' closed
-  // forms instead of the cached probe loop (docs/SCALE.md); the two must
-  // agree on every node of every shape, wrap or not.
+  // Workload generators and the capacity rule read degree() from the
+  // topologies' closed forms; they must agree with the probe loop on every
+  // node of every shape, wrap or not.
   auto probe = [](const Network& net, NodeId v) {
     int deg = 0;
     for (Dir d = 0; d < net.num_dirs(); ++d) {
@@ -376,6 +379,67 @@ TEST(Degree, ClosedFormsMatchTheProbeLoop) {
       ASSERT_EQ(cube.degree(v), probe(cube, v)) << "dim " << dim;
     }
   }
+}
+
+// The engine answers degree, available directions and arc targets from an
+// ArcTable; every answer must match the Network it was built from.
+void expect_arc_table_matches(const Network& net) {
+  const ArcTable arcs(net);
+  const std::string label = net.name();
+  for (NodeId v = 0; v < static_cast<NodeId>(net.num_nodes()); ++v) {
+    DirList probed;
+    for (Dir d = 0; d < net.num_dirs(); ++d) {
+      const NodeId nb = net.neighbor(v, d);
+      const bool exists = nb != kInvalidNode;
+      ASSERT_EQ(((arcs.out_mask(v) >> d) & 1U) != 0, exists)
+          << label << " node " << v << " dir " << int{d};
+      if (!exists) continue;
+      probed.push_back(d);
+      ASSERT_EQ(arcs.target(v, d), nb)
+          << label << " node " << v << " dir " << int{d};
+    }
+    ASSERT_EQ(arcs.degree(v), net.degree(v)) << label << " node " << v;
+    const DirList listed = dirlist_from_mask(arcs.out_mask(v));
+    ASSERT_EQ(std::vector<Dir>(listed.begin(), listed.end()),
+              std::vector<Dir>(probed.begin(), probed.end()))
+        << label << " node " << v;
+  }
+  EXPECT_EQ(arcs.memory_bytes(), 4 * net.num_nodes()) << label;
+}
+
+TEST(ArcTable, AgreesWithTheNetworkOnEveryArc) {
+  // The shapes of Degree.ClosedFormsMatchTheProbeLoop — 1-D meshes and
+  // side-2 tori (where + and − reach the same node through different
+  // offsets) included — plus the 16-dimensional hypercube, whose
+  // direction-15 alternate-offset flag is the word's top bit.
+  for (const int dim : {1, 2, 3}) {
+    for (const int side : {2, 3, 5}) {
+      for (const bool wrap : {false, true}) {
+        expect_arc_table_matches(Mesh(dim, side, wrap));
+      }
+    }
+  }
+  for (const int dim : {1, 3, 6, 16}) {
+    expect_arc_table_matches(Hypercube(dim));
+  }
+}
+
+/// A ring whose single direction jumps to 2v mod 5: offsets 0, +1, +2, -2
+/// and -1 — more than the two an ArcTable direction can hold.
+class DoublingRing final : public Network {
+ public:
+  std::size_t num_nodes() const override { return 5; }
+  int num_dirs() const override { return 1; }
+  NodeId neighbor(NodeId node, Dir) const override { return (2 * node) % 5; }
+  Dir reverse_dir(Dir dir) const override { return dir; }
+  int distance(NodeId a, NodeId b) const override { return a == b ? 0 : 1; }
+  int diameter() const override { return 1; }
+  std::string name() const override { return "doubling-ring"; }
+};
+
+TEST(ArcTable, RejectsAThirdOffsetPerDirection) {
+  const DoublingRing ring;
+  EXPECT_THROW(ArcTable{ring}, CheckError);
 }
 
 }  // namespace
