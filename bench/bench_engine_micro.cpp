@@ -38,18 +38,25 @@ void BM_MeshDistance(benchmark::State& state) {
 BENCHMARK(BM_MeshDistance);
 
 void BM_GoodDirs(benchmark::State& state) {
+  // The engine's per-step good-direction pass: one good_masks() call over
+  // a 1024-packet batch; items are packets.
   net::Mesh mesh(static_cast<int>(state.range(0)), 8);
   Rng rng(2);
-  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
-  for (int i = 0; i < 1024; ++i) {
-    pairs.emplace_back(static_cast<net::NodeId>(rng.uniform(mesh.num_nodes())),
-                       static_cast<net::NodeId>(rng.uniform(mesh.num_nodes())));
+  constexpr std::size_t kBatch = 1024;
+  std::vector<net::NodeId> at(kBatch);
+  std::vector<net::NodeId> dst(kBatch);
+  std::vector<std::uint32_t> masks(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    at[i] = static_cast<net::NodeId>(rng.uniform(mesh.num_nodes()));
+    dst[i] = static_cast<net::NodeId>(rng.uniform(mesh.num_nodes()));
   }
-  std::size_t i = 0;
   for (auto _ : state) {
-    const auto& [a, b] = pairs[i++ & 1023];
-    benchmark::DoNotOptimize(mesh.good_dirs(a, b));
+    mesh.good_masks(at.data(), dst.data(), masks.data(), kBatch);
+    benchmark::DoNotOptimize(masks.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_GoodDirs)->Arg(2)->Arg(3)->Arg(4);
 

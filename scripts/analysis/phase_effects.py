@@ -58,6 +58,7 @@ REQUIRED_FILES = ("src/sim/engine.hpp", "src/sim/engine.cpp")
 OPTIONAL_FILES = (
     "src/sim/flight_table.hpp",
     "src/sim/flight_table.cpp",
+    "src/sim/observer.hpp",
     "src/sim/policy.hpp",
     "src/util/phase_barrier.hpp",
     "src/topology/arc_table.hpp",

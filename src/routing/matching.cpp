@@ -1,5 +1,7 @@
 #include "routing/matching.hpp"
 
+#include <bit>
+
 #include "util/check.hpp"
 
 namespace hp::routing {
@@ -65,13 +67,12 @@ void assign_sequential(const sim::NodeContext& ctx,
 
   std::uint32_t used_mask = 0;
   for (std::size_t idx : order) {
-    for (net::Dir g : packets[idx].good) {
-      if (((used_mask >> g) & 1u) == 0) {
-        out[idx] = g;
-        used_mask |= std::uint32_t{1} << g;
-        break;
-      }
-    }
+    // Lowest free good direction, if any.
+    const std::uint32_t free_good = packets[idx].good_mask & ~used_mask;
+    if (free_good == 0) continue;
+    const auto g = static_cast<net::Dir>(std::countr_zero(free_good));
+    out[idx] = g;
+    used_mask |= std::uint32_t{1} << g;
   }
   deflect_remaining(ctx, packets, order, rule, used_mask, out);
 }
@@ -84,7 +85,10 @@ namespace {
 /// per-attempt direction bitmask.
 bool try_augment(std::span<const sim::PacketView> packets, std::size_t idx,
                  std::span<int> owner, std::uint32_t& visited) {
-  for (net::Dir g : packets[idx].good) {
+  // Good directions in ascending order.
+  for (std::uint32_t good = packets[idx].good_mask; good != 0;
+       good &= good - 1) {
+    const auto g = static_cast<net::Dir>(std::countr_zero(good));
     const std::uint32_t bit = std::uint32_t{1} << g;
     if (visited & bit) continue;
     visited |= bit;

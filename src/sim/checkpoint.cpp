@@ -79,28 +79,42 @@ class CheckpointIO {
     e.archive_.deserialize(r);
     e.livelock_.deserialize(r);
     r.verify_digest_trailer();
+    check_flight_nodes(e);
   }
 
   static std::uint64_t fingerprint(const Engine& e) {
     // Digest the state sections through a BinWriter over a scratch
-    // stream: the fingerprint is exactly the FNV-1a hash the checkpoint
-    // trailer would carry, minus the header. Spill/sample archives
-    // contribute their exact counts instead of records (which live
-    // outside the engine), so the fingerprint is total.
+    // stream: the fingerprint is the FNV-1a hash of the counters, the
+    // flight table, the archive counts and every archived record.
     std::ostringstream sink;
     util::BinWriter w(sink);
     write_counters(e, w);
     e.flight_.serialize(w);
     w.u64(e.archive_.count());
     w.u64(e.archive_.dropped());
-    if (e.archive_.keeps_records() &&
-        e.archive_.mode() == ArchiveMode::kMemory) {
-      for (const Packet& p : e.archive_.records()) write_packet_record(w, p);
-    }
+    for (const Packet& p : e.archive_.records()) write_packet_record(w, p);
     return w.digest();
   }
 
  private:
+  /// The trailer only proves the bytes are the ones a writer digested, not
+  /// that the writer was this engine. Occupancy and the arc table index
+  /// per-node arrays by these columns, so every in-flight record must name
+  /// real nodes and a real (or no) entry arc.
+  static void check_flight_nodes(const Engine& e) {
+    const auto nodes = static_cast<net::NodeId>(e.num_nodes_);
+    const auto in_net = [nodes](net::NodeId v) { return v >= 0 && v < nodes; };
+    const FlightTable& f = e.flight_;
+    for (FlightTable::Slot s = 0; s < f.end_slot(); ++s) {
+      HP_REQUIRE(in_net(f.src(s)) && in_net(f.dst(s)) && in_net(f.pos(s)) &&
+                     f.entry_dir(s) >= net::kInvalidDir &&
+                     f.entry_dir(s) < e.net_.num_dirs(),
+                 "checkpoint is corrupt (in-flight packet " +
+                     std::to_string(f.id(s)) +
+                     " names a node or arc outside the network)");
+    }
+  }
+
   static void write_counters(const Engine& e, util::BinWriter& w) {
     w.u64(e.next_id_);
     w.u64(e.delivered_);

@@ -27,9 +27,7 @@ class Engine;
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b435048;  // "HPCK"
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// Writes a checkpoint of `engine` at its current step boundary. Requires
-/// the in-memory arrival archive (or archive_arrivals off) — spill/sample
-/// archives hold state outside the checkpoint.
+/// Writes a checkpoint of `engine` at its current step boundary.
 void save_checkpoint(const Engine& engine, std::ostream& out);
 /// File form: writes a sibling temporary file and renames it over `path`
 /// only once the whole checkpoint is written and flushed, so a failed save
@@ -48,8 +46,7 @@ void restore_checkpoint(Engine& engine, const std::string& path);
 /// flight column in slot order, the locator window, and the arrival
 /// archive. Two engines with equal fingerprints continue identically;
 /// slot order is part of the determinism contract, so the fingerprint is
-/// thread-count invariant. Defined for every archive mode (spill/sample
-/// contribute their exact counts, not their retained records).
+/// thread-count invariant.
 std::uint64_t state_fingerprint(const Engine& engine);
 
 }  // namespace hp::sim

@@ -124,7 +124,6 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
       node_stamp_(net.num_nodes(), ~std::uint64_t{0}) {
   HP_REQUIRE(config_.num_threads >= 1 && config_.num_threads <= 512,
              "num_threads must be in [1, 512]");
-  archive_.configure(config_.archive);
   archive_.set_keep_records(config_.archive_arrivals);
 
   num_nodes_ = net.num_nodes();
@@ -198,9 +197,6 @@ net::NodeId Engine::packet_dst(PacketId id) const {
 std::vector<Packet> Engine::snapshot_packets() const {
   HP_REQUIRE(config_.archive_arrivals,
              "snapshot_packets() needs archive_arrivals = true");
-  HP_REQUIRE(archive_.mode() == ArchiveMode::kMemory,
-             "snapshot_packets() needs the in-memory arrival archive; spill "
-             "and sample modes drop or reorder records");
   std::vector<Packet> out(static_cast<std::size_t>(next_id_));
   for (const Packet& p : archive_.records()) {
     out[static_cast<std::size_t>(p.id)] = p;
@@ -481,7 +477,6 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     v.good_mask = good_mask_[static_cast<std::size_t>(s)];
     HP_CHECK(v.good_mask != 0,
              "packet with no good direction was not absorbed — engine bug");
-    v.good = net::dirlist_from_mask(v.good_mask);
     v.prev_advanced = flight_.prev_advanced(s);
     v.prev_num_good = flight_.prev_num_good(s);
     views.push_back(v);
@@ -513,10 +508,7 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     a.pkt = residents[i];
     a.node = node;
     a.out = d;
-    a.advances = (views[i].good_mask & bit) != 0;
-    a.num_good = views[i].num_good();
     a.good_mask = views[i].good_mask;
-    a.was_type_a = views[i].type_a();
     a.prev_advanced = views[i].prev_advanced;
     a.prev_num_good = views[i].prev_num_good;
     out.push_back(a);
@@ -577,8 +569,9 @@ void Engine::move_range(std::size_t task, std::size_t begin,
              "assignment for a packet that is not in flight");
     // route_node() validated the arc, so the target is a real node.
     const net::NodeId to = arcs_.target(a.node, a.out);
-    flight_.move(s, to, a.out, a.advances, a.num_good);
-    if (a.advances) {
+    const bool advanced = a.advances();
+    flight_.move(s, to, a.out, advanced, a.num_good());
+    if (advanced) {
       ++shard.advances;
     } else {
       ++shard.deflections;
@@ -668,9 +661,7 @@ RunResult Engine::make_result() {
   result.total_deflections = total_deflections_;
   result.total_advances = total_advances_;
   result.num_packets = num_packets();
-  if (config_.archive_arrivals && archive_.mode() == ArchiveMode::kMemory) {
-    result.packets = snapshot_packets();
-  }
+  if (config_.archive_arrivals) result.packets = snapshot_packets();
   return result;
 }
 

@@ -94,10 +94,6 @@ struct EngineConfig {
   /// the archive would grow without limit; observers still see every
   /// arrival record via StepRecord::arrivals.
   bool archive_arrivals = true;
-  /// Storage mode of the arrival archive when archive_arrivals is on:
-  /// unbounded in-memory (default), spill-to-disk, or a fixed-capacity
-  /// reservoir sample. See ArchiveConfig (flight_table.hpp).
-  ArchiveConfig archive;
   /// Wall-clock phase profiling (obs::PhaseProfiler): per-step timings of
   /// the inject/occupancy/route/apply/observe phases plus per-shard
   /// times of every sharded epoch. Off by default; when off the engine
@@ -174,12 +170,10 @@ class Engine {
   const FlightTable& flight() const { return flight_; }
 
   /// Records of delivered packets, in arrival order. Empty when
-  /// EngineConfig::archive_arrivals is false. Only the in-memory archive
-  /// mode keeps the full set here; see arrival_log() for spill/sample.
+  /// EngineConfig::archive_arrivals is false.
   std::span<const Packet> archive() const { return archive_.records(); }
 
-  /// The arrival archive itself — drain()/dropped()/count() for the
-  /// spill and sample modes.
+  /// The arrival archive itself (find(), count()).
   const ArrivalLog& arrival_log() const { return archive_; }
 
   /// Total packets ever created (batch + injected, including trivial).
@@ -205,11 +199,6 @@ class Engine {
 
   /// Ids of the packets currently at `node`, ascending.
   std::vector<PacketId> packets_at(net::NodeId node) const;
-
-  /// Occupancy-ownership shards (fixed at construction from the node
-  /// count, never from the thread count — part of the determinism
-  /// contract; see DESIGN.md §5).
-  std::size_t occupancy_shards() const { return occ_shards_; }
 
   /// Phase profiler, present iff EngineConfig::profile. Wall-clock data:
   /// report-only, never part of a deterministic artifact unless the

@@ -14,6 +14,7 @@
 // what they keep.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -26,18 +27,27 @@ class Engine;
 
 /// One packet's routing decision in one step, with the pre-move facts the
 /// analysis needs. Assignments for the same node are contiguous in the
-/// step record.
+/// step record. Whether the packet advanced, how many good directions it
+/// had and whether it was Type A are derived from `good_mask`, `out` and
+/// the history bits, never stored beside them.
 struct Assignment {
   PacketId pkt = 0;
   net::NodeId node = net::kInvalidNode;  ///< node the packet was routed from
   net::Dir out = net::kInvalidDir;       ///< chosen outgoing direction
-  bool advances = false;                 ///< arc was good for the packet
-  int num_good = 0;          ///< good directions at `node` (pre-move)
+  /// History bits at the start of the step (see Packet).
+  bool prev_advanced = false;
   /// Bit i set iff direction i was good for this packet at `node`.
   std::uint32_t good_mask = 0;
-  bool was_type_a = false;   ///< restricted Type A at start of step (§4.1)
-  bool prev_advanced = false;
   int prev_num_good = -1;
+
+  /// The chosen arc was good for the packet (Definition 5).
+  bool advances() const { return ((good_mask >> out) & 1u) != 0; }
+  /// Good directions at `node` (pre-move).
+  int num_good() const { return std::popcount(good_mask); }
+  /// Restricted Type A at the start of the step (§4.1).
+  bool was_type_a() const {
+    return num_good() == 1 && prev_num_good == 1 && prev_advanced;
+  }
 };
 
 /// Everything that happened in one engine step, streamed by reference.

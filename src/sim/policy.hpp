@@ -7,6 +7,7 @@
 // every packet is assigned an arc every step.
 #pragma once
 
+#include <bit>
 #include <span>
 #include <string>
 
@@ -24,17 +25,16 @@ struct PacketView {
   /// Arc (direction label) through which the packet entered this node;
   /// kInvalidDir if it was injected here this step.
   net::Dir entry_dir = net::kInvalidDir;
-  /// Good directions at this node (Definition 5). Empty never occurs:
-  /// packets at their destination are absorbed before routing.
-  net::DirList good;
-  /// Same set as `good`, as a bitmask (bit d ⇔ direction d is good).
+  /// Good directions at this node (Definition 5) as a bitmask: bit d set
+  /// iff direction d is good. Never zero: packets at their destination
+  /// are absorbed before routing.
   std::uint32_t good_mask = 0;
   /// History bits for the Type A / Type B classification of §4.1.
   bool prev_advanced = false;
   int prev_num_good = -1;
 
-  int num_good() const { return static_cast<int>(good.size()); }
-  bool restricted() const { return good.size() == 1; }
+  int num_good() const { return std::popcount(good_mask); }
+  bool restricted() const { return num_good() == 1; }
   bool type_a() const {
     return restricted() && prev_num_good == 1 && prev_advanced;
   }

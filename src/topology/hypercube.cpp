@@ -26,20 +26,6 @@ int Hypercube::distance(NodeId a, NodeId b) const {
   return std::popcount(static_cast<std::uint32_t>(a ^ b));
 }
 
-DirList Hypercube::good_dirs(NodeId at, NodeId dst) const {
-  DirList out;
-  const auto diff = static_cast<std::uint32_t>(at ^ dst);
-  for (int d = 0; d < dim_; ++d) {
-    if ((diff >> d) & 1u) out.push_back(static_cast<Dir>(d));
-  }
-  return out;
-}
-
-bool Hypercube::is_good_dir(NodeId at, NodeId dst, Dir dir) const {
-  HP_REQUIRE(dir >= 0 && dir < num_dirs(), "direction out of range");
-  return ((static_cast<std::uint32_t>(at ^ dst) >> dir) & 1u) != 0;
-}
-
 void Hypercube::good_masks(const NodeId* at, const NodeId* dst,
                            std::uint32_t* out, std::size_t count) const {
   const std::uint32_t all = (std::uint32_t{1} << dim_) - 1u;

@@ -28,17 +28,8 @@ class Hypercube : public Network {
   /// Every hypercube node has exactly one arc per address bit.
   int degree(NodeId) const override { return dim_; }
 
-  /// Good directions are exactly the differing address bits.
-  DirList good_dirs(NodeId at, NodeId dst) const override;
-  int num_good_dirs(NodeId at, NodeId dst) const override {
-    return distance(at, dst);
-  }
-  bool is_good_dir(NodeId at, NodeId dst, Dir dir) const override;
-  /// The address difference *is* the mask.
-  std::uint32_t good_mask(NodeId at, NodeId dst) const override {
-    return static_cast<std::uint32_t>(at ^ dst) &
-           ((std::uint32_t{1} << dim_) - 1u);
-  }
+  /// Good directions are exactly the differing address bits: the address
+  /// difference *is* the mask.
   void good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
                   std::size_t count) const override;
 

@@ -84,66 +84,27 @@ int Mesh::distance(NodeId a, NodeId b) const {
   return total;
 }
 
-DirList Mesh::good_dirs(NodeId at, NodeId dst) const {
-  DirList out;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
-  for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
-    va /= side_;
-    vb /= side_;
-    if (ca == cb) continue;
-    if (!wrap_) {
-      // Moving toward dst along this axis never leaves the mesh.
-      out.push_back(dir_of(axis, cb > ca ? +1 : -1));
-    } else {
-      const int fwd = cb > ca ? cb - ca : cb - ca + side_;
-      const int bwd = side_ - fwd;
-      // Antipodal coordinates (fwd == bwd) are closer both ways.
-      if (fwd <= bwd) out.push_back(static_cast<Dir>(2 * axis));
-      if (bwd <= fwd) out.push_back(static_cast<Dir>(2 * axis + 1));
-    }
-  }
-  return out;
-}
-
-std::uint32_t Mesh::good_mask(NodeId at, NodeId dst) const {
-  std::uint32_t mask = 0;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
-  if (!wrap_) {
-    // Branch-free per axis: exactly one of the two comparisons sets a bit
-    // on axes where the coordinates differ, neither where they agree.
-    for (int axis = 0; axis < dim_; ++axis) {
-      const int ca = static_cast<int>(va % side_);
-      const int cb = static_cast<int>(vb % side_);
-      va /= side_;
-      vb /= side_;
-      mask |= static_cast<std::uint32_t>(cb > ca) << (2 * axis);
-      mask |= static_cast<std::uint32_t>(cb < ca) << (2 * axis + 1);
-    }
-    return mask;
-  }
-  for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
-    va /= side_;
-    vb /= side_;
-    if (ca == cb) continue;
-    const int fwd = cb > ca ? cb - ca : cb - ca + side_;
-    const int bwd = side_ - fwd;
-    // Antipodal coordinates (fwd == bwd) are closer both ways.
-    if (fwd <= bwd) mask |= std::uint32_t{1} << (2 * axis);
-    if (bwd <= fwd) mask |= std::uint32_t{1} << (2 * axis + 1);
-  }
-  return mask;
-}
-
 void Mesh::good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
                       std::size_t count) const {
   if (wrap_) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = good_mask(at[i], dst[i]);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint32_t mask = 0;
+      std::int64_t va = at[i];
+      std::int64_t vb = dst[i];
+      for (int axis = 0; axis < dim_; ++axis) {
+        const int ca = static_cast<int>(va % side_);
+        const int cb = static_cast<int>(vb % side_);
+        va /= side_;
+        vb /= side_;
+        if (ca == cb) continue;
+        const int fwd = cb > ca ? cb - ca : cb - ca + side_;
+        const int bwd = side_ - fwd;
+        // Antipodal coordinates (fwd == bwd) are closer both ways.
+        if (fwd <= bwd) mask |= std::uint32_t{1} << (2 * axis);
+        if (bwd <= fwd) mask |= std::uint32_t{1} << (2 * axis + 1);
+      }
+      out[i] = mask;
+    }
     return;
   }
   // Dense non-wrap path: a short fixed-trip-count inner loop of div/mod and
@@ -163,37 +124,6 @@ void Mesh::good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
     }
     out[i] = mask;
   }
-}
-
-int Mesh::num_good_dirs(NodeId at, NodeId dst) const {
-  int count = 0;
-  std::int64_t va = at;
-  std::int64_t vb = dst;
-  for (int axis = 0; axis < dim_; ++axis) {
-    const int ca = static_cast<int>(va % side_);
-    const int cb = static_cast<int>(vb % side_);
-    va /= side_;
-    vb /= side_;
-    if (ca == cb) continue;
-    if (!wrap_) {
-      ++count;
-    } else {
-      count += (2 * (cb > ca ? cb - ca : cb - ca + side_) == side_) ? 2 : 1;
-    }
-  }
-  return count;
-}
-
-bool Mesh::is_good_dir(NodeId at, NodeId dst, Dir dir) const {
-  HP_REQUIRE(dir >= 0 && dir < num_dirs(), "direction out of range");
-  const int axis = axis_of(dir);
-  const int ca = coord(at, axis);
-  const int cb = coord(dst, axis);
-  if (ca == cb) return false;
-  if (!wrap_) return sign_of(dir) == (cb > ca ? +1 : -1);
-  const int fwd = cb > ca ? cb - ca : cb - ca + side_;
-  const int bwd = side_ - fwd;
-  return sign_of(dir) > 0 ? fwd <= bwd : bwd <= fwd;
 }
 
 int Mesh::diameter() const {

@@ -35,13 +35,8 @@ class Mesh : public Network {
   /// node does not sit on. Agrees with the base probe loop bit-for-bit.
   int degree(NodeId node) const override;
 
-  // Closed-form goodness tests: one coordinate decode instead of the base
-  // class's per-direction neighbor() + distance() probes. Must agree with
-  // the base implementation bit-for-bit (same directions, same order).
-  DirList good_dirs(NodeId at, NodeId dst) const override;
-  int num_good_dirs(NodeId at, NodeId dst) const override;
-  bool is_good_dir(NodeId at, NodeId dst, Dir dir) const override;
-  std::uint32_t good_mask(NodeId at, NodeId dst) const override;
+  /// Closed-form Definition 5: one coordinate decode per packet instead of
+  /// the base class's per-direction neighbor() + distance() probes.
   void good_masks(const NodeId* at, const NodeId* dst, std::uint32_t* out,
                   std::size_t count) const override;
 

@@ -50,32 +50,29 @@ class Network {
     return neighbor(node, dir) != kInvalidNode;
   }
 
-  /// Good directions for a packet located at `at` with destination `dst`
-  /// (Definition 5): directions whose arc enters a node strictly closer to
-  /// `dst`, in ascending direction order. Empty iff at == dst. The base
-  /// implementation probes every direction with neighbor() + distance();
-  /// topologies override it with closed-form versions — this is the
-  /// hottest call in the routing phase (once per packet per step).
-  virtual DirList good_dirs(NodeId at, NodeId dst) const;
-
-  /// Number of good directions, without materializing the list.
-  virtual int num_good_dirs(NodeId at, NodeId dst) const;
-
-  /// Good directions as a bitmask: bit d set iff direction d is good for a
-  /// packet at `at` bound for `dst`. Zero iff at == dst. The base version
-  /// probes directions like good_dirs(); topologies override it with
-  /// branchless closed forms.
-  virtual std::uint32_t good_mask(NodeId at, NodeId dst) const;
-
-  /// Batch form of good_mask() over parallel position/destination arrays —
-  /// the engine's once-per-step evaluation over the dense flight columns.
-  /// Overrides keep the per-element work branch-free so the loop
-  /// vectorizes; the base version just loops good_mask().
+  /// Good directions (Definition 5) for `count` packets, batched over
+  /// parallel position/destination arrays: out[i] gets bit d set iff the
+  /// arc in direction d leaves at[i] and enters a node strictly closer to
+  /// dst[i]. Zero iff at[i] == dst[i]. This is the one goodness primitive
+  /// — the engine evaluates it once per step over the dense flight
+  /// columns, and every other goodness fact (restricted, Type A,
+  /// advances) is derived from its masks. The base version probes every
+  /// direction with neighbor() + distance(); topologies override it with
+  /// branch-free closed forms so the loop vectorizes.
   virtual void good_masks(const NodeId* at, const NodeId* dst,
                           std::uint32_t* out, std::size_t count) const;
 
-  /// True if direction `dir` is good for a packet at `at` headed to `dst`.
-  virtual bool is_good_dir(NodeId at, NodeId dst, Dir dir) const;
+  /// good_masks() for a single packet.
+  std::uint32_t good_mask(NodeId at, NodeId dst) const {
+    std::uint32_t mask = 0;
+    good_masks(&at, &dst, &mask, 1);
+    return mask;
+  }
+
+  /// good_mask() expanded into ascending direction order.
+  DirList good_dirs(NodeId at, NodeId dst) const {
+    return dirlist_from_mask(good_mask(at, dst));
+  }
 
   /// Total number of directed arcs in the network.
   std::size_t num_arcs() const;

@@ -32,7 +32,7 @@ using Coord = InlineVector<std::int32_t, kMaxDim>;
 using DirList = InlineVector<Dir, 2 * kMaxDim>;
 
 /// Expands a direction bitmask (bit d ⇔ direction d) into an ascending
-/// DirList — the same order every good_dirs() implementation produces.
+/// DirList.
 inline DirList dirlist_from_mask(std::uint32_t mask) {
   DirList out;
   while (mask != 0) {

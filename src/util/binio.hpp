@@ -1,5 +1,5 @@
 // Little-endian binary stream I/O for versioned on-disk artifacts
-// (checkpoints, ArrivalLog spill files).
+// (checkpoints).
 //
 // Every multi-byte value is written least-significant byte first,
 // independent of host endianness, so an artifact written on one machine

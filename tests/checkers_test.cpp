@@ -2,6 +2,8 @@
 // restricted-packet census (§4.1 taxonomy, Figures 5–6 concepts).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/checkers.hpp"
 #include "routing/greedy_variants.hpp"
 #include "routing/perverse.hpp"
@@ -29,7 +31,8 @@ class NonGreedyPolicy : public sim::RoutingPolicy {
     std::uint32_t used = 0;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       out[i] = net::kInvalidDir;
-      const net::Dir first = packets[i].good.front();
+      const auto first =
+          static_cast<net::Dir>(std::countr_zero(packets[i].good_mask));
       if (((used >> first) & 1u) == 0) {
         out[i] = first;
         used |= std::uint32_t{1} << first;
@@ -39,9 +42,10 @@ class NonGreedyPolicy : public sim::RoutingPolicy {
       if (out[i] != net::kInvalidDir) continue;
       // Deliberately pick a BAD arc even if another good one is free.
       for (net::Dir d : ctx.avail_dirs) {
-        if (((used >> d) & 1u) == 0 && !packets[i].good.contains(d)) {
+        const std::uint32_t bit = std::uint32_t{1} << d;
+        if ((used & bit) == 0 && (packets[i].good_mask & bit) == 0) {
           out[i] = d;
-          used |= std::uint32_t{1} << d;
+          used |= bit;
           break;
         }
       }

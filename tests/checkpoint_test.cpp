@@ -5,10 +5,14 @@
 // instead of undefined behavior.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "test_support.hpp"
 #include "topology/mesh.hpp"
+#include "util/binio.hpp"
 #include "util/check.hpp"
 #include "workload/generators.hpp"
 
@@ -372,48 +377,159 @@ TEST(CheckpointFailure, RestoreNeedsAFreshEngine) {
   EXPECT_THROW(sim::restore_checkpoint(engine, source), CheckError);
 }
 
-TEST(CheckpointFailure, SpillArchiveCannotCheckpoint) {
+/// Rewrites the digest trailer over the (edited) payload exactly as
+/// BinWriter computes it, so only semantic validation can catch the edit.
+void reseal(std::string& bytes) {
+  const std::size_t payload = bytes.size() - 8;
+  std::uint64_t digest = util::kFnvOffset;
+  for (std::size_t i = 0; i < payload; ++i) {
+    digest = util::fnv1a_byte(digest, static_cast<std::uint8_t>(bytes[i]));
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[payload + i] = static_cast<char>(digest >> (8 * i));
+  }
+}
+
+void put_i32(std::string& bytes, std::size_t at, std::int32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>(static_cast<std::uint32_t>(v) >> (8 * i));
+  }
+}
+
+TEST(CheckpointFailure, OutOfRangeFlightNodesAreRejected) {
+  // A checkpoint whose digest is intact but whose first in-flight record
+  // names a node or entry arc outside the network: occupancy and the
+  // arc table would index per-node arrays with it.
+  net::Mesh mesh(2, 8);
+  const std::string bytes = scenario_checkpoint(mesh);
+  RestrictedPriorityPolicy policy;
+  // Header (magic, version, names, shape, seed), counters (6 × u64 + u8),
+  // the FlightTable window (4 × u64), then the first record's id, src,
+  // dst and pos as i32s and its entry arc as an i8.
+  const std::size_t first_record = 4 + 4 + (4 + mesh.name().size()) + 8 +
+                                   4 + (4 + policy.name().size()) + 8 +
+                                   (6 * 8 + 1) + 4 * 8;
+  const std::size_t src_at = first_record + 4;
+  const std::size_t dst_at = first_record + 8;
+  const std::size_t pos_at = first_record + 12;
+  const std::size_t entry_at = first_record + 16;
+
+  std::string resealed = bytes;
+  reseal(resealed);
+  ASSERT_EQ(resealed, bytes) << "reseal must reproduce the writer's trailer";
+
+  const std::int32_t outside[] = {static_cast<std::int32_t>(mesh.num_nodes()),
+                                  -1, std::int32_t{1} << 30};
+  for (const std::size_t at : {src_at, dst_at, pos_at}) {
+    for (const std::int32_t v : outside) {
+      std::string bad = bytes;
+      put_i32(bad, at, v);
+      reseal(bad);
+      expect_restore_fails(mesh, bad);
+    }
+  }
+  for (const std::int8_t dir : {std::int8_t{4}, std::int8_t{-2}}) {
+    std::string bad = bytes;
+    bad[entry_at] = static_cast<char>(dir);
+    reseal(bad);
+    expect_restore_fails(mesh, bad);
+  }
+}
+
+/// A streambuf that accepts `capacity` bytes and then fails every write:
+/// a device that fills up part-way through a checkpoint.
+class ShortWriteBuf : public std::streambuf {
+ public:
+  explicit ShortWriteBuf(std::size_t capacity) : left_(capacity) {}
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    if (left_ == 0) return traits_type::eof();
+    --left_;
+    return ch;
+  }
+
+ private:
+  std::size_t left_;
+};
+
+TEST(CheckpointFailure, ShortWriteIsRejected) {
   net::Mesh mesh(2, 8);
   auto problem = scenario(mesh);
   RestrictedPriorityPolicy policy;
-  auto config = scenario_config(1);
-  config.archive.mode = sim::ArchiveMode::kSpill;
-  config.archive.spill_path = testing::TempDir() + "hp_ckpt_spill.bin";
-  sim::Engine engine(mesh, problem, policy, config);
+  sim::Engine engine(mesh, problem, policy, scenario_config(1));
   engine.run_for(9);
-  std::ostringstream sink;
-  EXPECT_THROW(sim::save_checkpoint(engine, sink), CheckError);
-  // The fingerprint stays defined even when checkpointing is not.
-  EXPECT_NE(sim::state_fingerprint(engine), 0u);
+  std::ostringstream full;
+  sim::save_checkpoint(engine, full);
+  const std::size_t size = full.str().size();
+
+  for (const std::size_t capacity :
+       {std::size_t{0}, std::size_t{6}, size / 2, size - 8, size - 1}) {
+    ShortWriteBuf buf(capacity);
+    std::ostream out(&buf);
+    EXPECT_THROW(sim::save_checkpoint(engine, out), CheckError)
+        << "device full after " << capacity << " of " << size << " bytes";
+  }
+  ShortWriteBuf roomy(size);
+  std::ostream out(&roomy);
+  EXPECT_NO_THROW(sim::save_checkpoint(engine, out));
 }
 
+/// Caps this process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so a
+/// write past the cap fails with EFBIG like a full disk; restores both.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    ok_ = setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
 TEST(CheckpointFailure, RejectedSaveKeepsThePreviousFile) {
-  // A save that fails part-way (a spill archive is rejected only after the
-  // header, counters and flight columns are written) must leave the last
-  // good checkpoint byte-identical and no temporary file behind.
+  // A save that runs out of space part-way must leave the last good
+  // checkpoint byte-identical and no temporary file behind.
   net::Mesh mesh(2, 8);
   const std::string path = testing::TempDir() + "hp_ckpt_atomic.hpck";
   std::filesystem::remove(path);
 
-  auto good_problem = scenario(mesh);
-  RestrictedPriorityPolicy good_policy;
-  sim::Engine good(mesh, good_problem, good_policy, scenario_config(1));
-  good.run_for(9);
-  sim::save_checkpoint(good, path);
+  auto problem = scenario(mesh);
+  RestrictedPriorityPolicy policy;
+  sim::Engine engine(mesh, problem, policy, scenario_config(1));
+  engine.run_for(9);
+  sim::save_checkpoint(engine, path);
   const std::string before = read_file(path);
-  ASSERT_FALSE(before.empty());
+  ASSERT_GT(before.size(), 256u);
 
-  auto spill_problem = scenario(mesh);
-  RestrictedPriorityPolicy spill_policy;
-  auto config = scenario_config(1);
-  config.archive.mode = sim::ArchiveMode::kSpill;
-  config.archive.spill_path = testing::TempDir() + "hp_ckpt_atomic_spill.bin";
-  sim::Engine spill(mesh, spill_problem, spill_policy, config);
-  spill.run_for(9);
-  EXPECT_THROW(sim::save_checkpoint(spill, path), CheckError);
+  engine.run_for(3);  // a later state, so a successful save would differ
+  {
+    const FileSizeCap cap(256);
+    ASSERT_TRUE(cap.ok());
+    EXPECT_THROW(sim::save_checkpoint(engine, path), CheckError);
+  }
 
   EXPECT_EQ(read_file(path), before);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // With the cap lifted the same save goes through.
+  sim::save_checkpoint(engine, path);
+  EXPECT_NE(read_file(path), before);
   std::filesystem::remove(path);
 }
 

@@ -237,10 +237,18 @@ TEST(Engine, AssignmentFlagsAreConsistent) {
                  const sim::StepRecord& record) override {
       for (const auto& a : record.assignments) {
         const sim::Packet& p = engine.packet(a.pkt);
-        // good_mask ↔ num_good agreement
-        EXPECT_EQ(std::popcount(a.good_mask), a.num_good);
-        // advances ↔ the chosen arc is in the mask
-        EXPECT_EQ(((a.good_mask >> a.out) & 1u) != 0, a.advances);
+        // advances() ↔ the move got the packet closer (Definition 5)
+        const int before = mesh_.distance(a.node, p.dst);
+        EXPECT_EQ(a.advances(), mesh_.distance(p.pos, p.dst) < before);
+        // num_good() ↔ the directions whose arc gets closer
+        int closer = 0;
+        for (net::Dir d = 0; d < mesh_.num_dirs(); ++d) {
+          const net::NodeId nb = mesh_.neighbor(a.node, d);
+          if (nb != net::kInvalidNode && mesh_.distance(nb, p.dst) < before) {
+            ++closer;
+          }
+        }
+        EXPECT_EQ(a.num_good(), closer);
         // post-move position is the neighbor along the chosen arc
         EXPECT_EQ(p.pos, mesh_.neighbor(a.node, a.out));
       }
@@ -250,6 +258,25 @@ TEST(Engine, AssignmentFlagsAreConsistent) {
   } check(mesh);
   engine.add_observer(&check);
   EXPECT_TRUE(engine.run().completed);
+}
+
+TEST(Engine, GoodnessTravelsAsOneMask) {
+  // Definition 5 reaches policies and observers only as the good-direction
+  // mask; every other goodness fact is derived from it, not stored.
+  EXPECT_LE(sizeof(sim::PacketView), 24u);
+  EXPECT_LE(sizeof(sim::Assignment), 20u);
+  sim::Assignment a;
+  a.out = 2;
+  a.good_mask = 0b0100;
+  a.prev_advanced = true;
+  a.prev_num_good = 1;
+  EXPECT_TRUE(a.advances());
+  EXPECT_EQ(a.num_good(), 1);
+  EXPECT_TRUE(a.was_type_a());
+  a.good_mask = 0b1001;
+  EXPECT_FALSE(a.advances());
+  EXPECT_EQ(a.num_good(), 2);
+  EXPECT_FALSE(a.was_type_a());
 }
 
 TEST(Engine, DeterministicPoliciesReproduce) {

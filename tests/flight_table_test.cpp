@@ -1,13 +1,14 @@
-// FlightTable columns and the ArrivalLog storage modes (docs/SCALE.md):
-// the engine's memory footprint, overflow boundaries of the 32-bit
-// bookkeeping columns and the 32-bit id space, and spill/sample archives
-// against the in-memory baseline.
+// FlightTable columns and the ArrivalLog archive (docs/SCALE.md): the
+// engine's memory footprint, overflow boundaries of the 32-bit bookkeeping
+// columns and the 32-bit id space, serialization of the locator window,
+// and the archive's count-only and record-keeping behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "routing/restricted_priority.hpp"
@@ -192,7 +193,44 @@ TEST(FlightTableSerialize, TruncatedStreamFailsClearly) {
   EXPECT_THROW(restored.deserialize(r), CheckError);
 }
 
-// --- ArrivalLog modes -------------------------------------------------------
+/// A FlightTable stream with locator window [0, 4), reclaimed prefix
+/// [0, 2) and one in-flight packet `id` — the layout serialize() writes.
+std::string one_packet_stream(PacketId id) {
+  std::ostringstream sink;
+  util::BinWriter w(sink);
+  w.u64(0);   // id_base
+  w.u64(4);   // window
+  w.u64(2);   // head: ids 0 and 1 have left flight
+  w.u64(1);   // in-flight count
+  w.i32(id);  // id
+  w.i32(1);   // src
+  w.i32(5);   // dst
+  w.i32(3);   // pos
+  w.i8(-1);   // entry_dir
+  w.u8(0);    // prev_advanced
+  w.i8(-1);   // prev_num_good
+  w.u64(0);   // injected_at
+  w.u64(0);   // deflections
+  w.i32(4);   // initial_distance
+  return sink.str();
+}
+
+TEST(FlightTableSerialize, InFlightIdInTheReclaimedPrefixIsRejected) {
+  // Restored, such a packet would lose its locator entry at the next
+  // prefix reclaim and be routed through slot kNoSlot.
+  std::istringstream bad(one_packet_stream(0));
+  util::BinReader r(bad, "checkpoint");
+  sim::FlightTable restored;
+  EXPECT_THROW(restored.deserialize(r), CheckError);
+
+  std::istringstream good(one_packet_stream(2));
+  util::BinReader r2(good, "checkpoint");
+  sim::FlightTable first_live;
+  ASSERT_NO_THROW(first_live.deserialize(r2));
+  EXPECT_EQ(first_live.slot_of(2), 0);
+}
+
+// --- ArrivalLog -------------------------------------------------------------
 
 std::vector<Packet> arrivals(int n) {
   std::vector<Packet> out;
@@ -205,140 +243,42 @@ std::vector<Packet> arrivals(int n) {
   return out;
 }
 
-TEST(ArrivalLogSpill, SpillAndMemoryAgreeOnDrainAndFind) {
-  const auto packets = arrivals(100);
-
-  sim::ArrivalLog memory;
-  sim::ArrivalLog spill;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSpill;
-  config.spill_path = testing::TempDir() + "hp_spill_test.bin";
-  config.spill_buffer_records = 7;  // odd, so flushes straddle drains
-  spill.configure(config);
-
-  for (const Packet& p : packets) {
-    memory.append(p);
-    spill.append(p);
-  }
-  EXPECT_EQ(spill.count(), memory.count());
-  EXPECT_EQ(spill.dropped(), 0u);
-
-  const auto a = memory.drain();
-  const auto b = spill.drain();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].arrived_at, b[i].arrived_at);
-    EXPECT_EQ(a[i].deflections, b[i].deflections);
-  }
-
-  for (const PacketId id : {PacketId{0}, PacketId{42}, PacketId{99}}) {
-    const Packet* ma = memory.find(id);
-    const Packet* mb = spill.find(id);
-    ASSERT_NE(ma, nullptr);
-    ASSERT_NE(mb, nullptr);
-    EXPECT_EQ(ma->arrived_at, mb->arrived_at);
-  }
-  EXPECT_EQ(spill.find(1000), nullptr);
-}
-
-TEST(ArrivalLogSpill, EngineRunWithSpillMatchesMemoryArchive) {
-  net::Mesh mesh(2, 8);
-  Rng rng_a(5);
-  Rng rng_b(5);
-  auto pa = workload::random_permutation(mesh, rng_a);
-  auto pb = workload::random_permutation(mesh, rng_b);
-  routing::RestrictedPriorityPolicy pol_a;
-  routing::RestrictedPriorityPolicy pol_b;
-
-  sim::EngineConfig mem_config;
-  sim::EngineConfig spill_config;
-  spill_config.archive.mode = sim::ArchiveMode::kSpill;
-  spill_config.archive.spill_path =
-      testing::TempDir() + "hp_spill_engine_test.bin";
-  spill_config.archive.spill_buffer_records = 13;
-
-  sim::Engine with_memory(mesh, pa, pol_a, mem_config);
-  sim::Engine with_spill(mesh, pb, pol_b, spill_config);
-  const auto ra = with_memory.run();
-  const auto rb = with_spill.run();
-  EXPECT_EQ(ra.steps, rb.steps);
-  EXPECT_TRUE(rb.packets.empty()) << "spill mode must not snapshot";
-
-  const auto archived_a = with_memory.arrival_log().drain();
-  const auto archived_b = with_spill.arrival_log().drain();
-  ASSERT_EQ(archived_a.size(), archived_b.size());
-  for (std::size_t i = 0; i < archived_a.size(); ++i) {
-    EXPECT_EQ(archived_a[i].id, archived_b[i].id);
-    EXPECT_EQ(archived_a[i].arrived_at, archived_b[i].arrived_at);
-  }
-}
-
-TEST(ArrivalLogSample, ReservoirIsExactAboutWhatItDropped) {
-  const auto packets = arrivals(100);
-  sim::ArrivalLog log;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSample;
-  config.sample_capacity = 16;
-  config.sample_seed = 9;
-  log.configure(config);
-  for (const Packet& p : packets) log.append(p);
-
-  EXPECT_EQ(log.count(), 100u);
-  EXPECT_EQ(log.dropped(), 84u);  // exact: count − retained
-  const auto kept = log.drain();
-  ASSERT_EQ(kept.size(), 16u);
-  for (std::size_t i = 1; i < kept.size(); ++i) {
-    EXPECT_LT(kept[i - 1].id, kept[i].id);  // id order, no duplicates
-  }
-}
-
-TEST(ArrivalLogSample, SamplingIsDeterministicInTheSeed) {
-  const auto packets = arrivals(200);
-  auto run = [&](std::uint64_t seed) {
-    sim::ArrivalLog log;
-    sim::ArchiveConfig config;
-    config.mode = sim::ArchiveMode::kSample;
-    config.sample_capacity = 8;
-    config.sample_seed = seed;
-    log.configure(config);
-    for (const Packet& p : packets) log.append(p);
-    return log.drain();
-  };
-  const auto a = run(4);
-  const auto b = run(4);
-  const auto c = run(5);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
-  bool any_difference = a.size() != c.size();
-  for (std::size_t i = 0; !any_difference && i < a.size(); ++i) {
-    any_difference = a[i].id != c[i].id;
-  }
-  EXPECT_TRUE(any_difference) << "different seeds should sample differently";
-}
-
 TEST(ArrivalLog, CountOnlyModeDropsEverythingButCountsExactly) {
   sim::ArrivalLog log;
   log.set_keep_records(false);
   for (const Packet& p : arrivals(10)) log.append(p);
   EXPECT_EQ(log.count(), 10u);
   EXPECT_EQ(log.dropped(), 10u);
-  EXPECT_TRUE(log.drain().empty());
+  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.find(3), nullptr);
+}
+
+TEST(ArrivalLog, KeepsEveryRecordInArrivalOrderWithAnIdIndex) {
+  auto packets = arrivals(50);
+  std::swap(packets[3], packets[40]);  // arrival order is not id order
+  sim::ArrivalLog log;
+  for (const Packet& p : packets) log.append(p);
+  EXPECT_EQ(log.count(), 50u);
+  EXPECT_EQ(log.dropped(), 0u);
+  ASSERT_EQ(log.records().size(), packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    EXPECT_EQ(log.records()[i].id, packets[i].id);
+  }
+  for (const PacketId id : {PacketId{0}, PacketId{3}, PacketId{40}}) {
+    const Packet* p = log.find(id);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->id, id);
+    EXPECT_EQ(p->arrived_at, static_cast<std::uint64_t>(id) + 3);
+  }
+  EXPECT_EQ(log.find(50), nullptr);
 }
 
 TEST(ArrivalLog, ConfigureAfterAppendIsRejected) {
+  // Record-keeping is the log's one setting; flipping it mid-run would
+  // make dropped() and the checkpoint lie about what was kept.
   sim::ArrivalLog log;
   log.append(arrivals(1)[0]);
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSample;
-  EXPECT_THROW(log.configure(config), CheckError);
-}
-
-TEST(ArrivalLog, SpillNeedsAPath) {
-  sim::ArrivalLog log;
-  sim::ArchiveConfig config;
-  config.mode = sim::ArchiveMode::kSpill;
-  EXPECT_THROW(log.configure(config), CheckError);
+  EXPECT_THROW(log.set_keep_records(false), CheckError);
 }
 
 }  // namespace

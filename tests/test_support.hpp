@@ -1,7 +1,9 @@
 // Shared helpers for the hotpotato test suite.
 #pragma once
 
+#include <bit>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/checkers.hpp"
@@ -27,6 +29,24 @@ inline workload::Problem make_problem(
   return p;
 }
 
+/// A ring whose single direction jumps to 2v mod 5: offsets 0, +1, +2, -2
+/// and -1 — more than the two an ArcTable direction can hold. It overrides
+/// none of Network's defaults, so it also exercises the base good_masks().
+class DoublingRing final : public net::Network {
+ public:
+  std::size_t num_nodes() const override { return 5; }
+  int num_dirs() const override { return 1; }
+  net::NodeId neighbor(net::NodeId node, net::Dir) const override {
+    return (2 * node) % 5;
+  }
+  net::Dir reverse_dir(net::Dir dir) const override { return dir; }
+  int distance(net::NodeId a, net::NodeId b) const override {
+    return a == b ? 0 : 1;
+  }
+  int diameter() const override { return 1; }
+  std::string name() const override { return "doubling-ring"; }
+};
+
 /// A deliberately simple baseline policy for engine-mechanics tests: each
 /// packet takes its first good arc if free, else the first free arc.
 /// (Equivalent to sequential greedy in arrival order.)
@@ -41,12 +61,10 @@ class FirstGoodPolicy : public sim::RoutingPolicy {
     std::uint32_t used = 0;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       out[i] = net::kInvalidDir;
-      for (net::Dir g : packets[i].good) {
-        if (((used >> g) & 1u) == 0) {
-          out[i] = g;
-          used |= std::uint32_t{1} << g;
-          break;
-        }
+      const std::uint32_t free_good = packets[i].good_mask & ~used;
+      if (free_good != 0) {
+        out[i] = static_cast<net::Dir>(std::countr_zero(free_good));
+        used |= std::uint32_t{1} << out[i];
       }
     }
     for (std::size_t i = 0; i < packets.size(); ++i) {

@@ -33,7 +33,7 @@ TEST(TorusRouting, AntipodalPacketHasAllDirectionsGood) {
   net::Mesh torus(2, 8, /*wrap=*/true);
   const auto src = torus.node_at(xy(0, 0));
   const auto dst = torus.node_at(xy(4, 4));
-  EXPECT_EQ(torus.num_good_dirs(src, dst), 4);
+  EXPECT_EQ(torus.good_mask(src, dst), 0b1111u);
   auto problem = make_problem({{src, dst}});
   routing::RestrictedPriorityPolicy policy;
   sim::Engine engine(torus, problem, policy);
