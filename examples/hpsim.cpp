@@ -367,6 +367,18 @@ int run_sweep_mode(const Options& opt, const hp::net::Network& network) {
   return probe.converged ? 0 : 1;
 }
 
+/// Writes an output file through `write`. A file that cannot be opened or
+/// fully written throws, so the run exits nonzero instead of leaving a
+/// truncated artifact behind an exit status of 0.
+template <typename Write>
+void write_artifact(const std::string& path, Write write) {
+  std::ofstream out(path);
+  if (!out) throw hp::CheckError("cannot open " + path);
+  write(out);
+  out.flush();
+  if (!out) throw hp::CheckError("write to " + path + " failed");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -540,26 +552,22 @@ int main(int argc, char** argv) {
     }
 
     if (metrics) {
-      std::ofstream out(opt.metrics_path);
-      if (!out) {
-        throw hp::CheckError("cannot open " + opt.metrics_path);
-      }
       const bool csv_out =
           opt.metrics_path.size() >= 4 &&
           opt.metrics_path.compare(opt.metrics_path.size() - 4, 4, ".csv") ==
               0;
-      if (csv_out) {
-        registry.write_csv(out);
-      } else {
-        registry.write_json(out);
-      }
+      write_artifact(opt.metrics_path, [&](std::ostream& out) {
+        if (csv_out) {
+          registry.write_csv(out);
+        } else {
+          registry.write_json(out);
+        }
+      });
     }
     if (tracer) {
-      std::ofstream out(opt.trace_path);
-      if (!out) {
-        throw hp::CheckError("cannot open " + opt.trace_path);
-      }
-      hp::obs::write_chrome_trace(out, ring);
+      write_artifact(opt.trace_path, [&](std::ostream& out) {
+        hp::obs::write_chrome_trace(out, ring);
+      });
     }
     if (opt.profile) engine.profiler()->write_report(std::cerr);
 

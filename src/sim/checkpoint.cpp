@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "sim/engine.hpp"
 #include "util/binio.hpp"
@@ -79,15 +78,15 @@ class CheckpointIO {
     e.archive_.deserialize(r);
     e.livelock_.deserialize(r);
     r.verify_digest_trailer();
+    r.expect_end();
     check_flight_nodes(e);
   }
 
   static std::uint64_t fingerprint(const Engine& e) {
-    // Digest the state sections through a BinWriter over a scratch
-    // stream: the fingerprint is the FNV-1a hash of the counters, the
-    // flight table, the archive counts and every archived record.
-    std::ostringstream sink;
-    util::BinWriter w(sink);
+    // Digest the state sections through a hash-only BinWriter: the
+    // fingerprint is the FNV-1a hash of the counters, the flight table,
+    // the archive counts and every archived record.
+    util::BinWriter w;
     write_counters(e, w);
     e.flight_.serialize(w);
     w.u64(e.archive_.count());
@@ -138,6 +137,13 @@ void save_checkpoint(const Engine& engine, std::ostream& out) {
 }
 
 void save_checkpoint(const Engine& engine, const std::string& path) {
+  // The rename below replaces whatever `path` names; only a regular file
+  // (an earlier checkpoint) may be replaced.
+  std::error_code status_ec;
+  const auto status = std::filesystem::status(path, status_ec);
+  HP_REQUIRE(!std::filesystem::exists(status) ||
+                 std::filesystem::is_regular_file(status),
+             "checkpoint path " + path + " exists and is not a regular file");
   const std::string tmp = path + ".tmp";
   try {
     {

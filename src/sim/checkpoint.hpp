@@ -32,13 +32,17 @@ void save_checkpoint(const Engine& engine, std::ostream& out);
 /// File form: writes a sibling temporary file and renames it over `path`
 /// only once the whole checkpoint is written and flushed, so a failed save
 /// leaves any previous checkpoint at `path` intact and no partial file.
+/// A `path` that exists and is not a regular file (a device, a FIFO, a
+/// directory) is refused before the temporary file is created.
 void save_checkpoint(const Engine& engine, const std::string& path);
 
 /// Restores a checkpoint into a freshly constructed engine (no steps run,
 /// no packets injected — use an empty workload::Problem). The engine must
 /// have been built over the same topology, policy, seed, and
 /// archive_arrivals flag the checkpoint names; the thread count may
-/// differ.
+/// differ. A checkpoint stream holds exactly one checkpoint: the reader
+/// reads ahead in blocks, and any byte after the digest trailer is
+/// rejected as corruption.
 void restore_checkpoint(Engine& engine, std::istream& in);
 void restore_checkpoint(Engine& engine, const std::string& path);
 

@@ -164,6 +164,18 @@ void FlightTable::deserialize(util::BinReader& in) {
              "checkpoint is corrupt (inconsistent FlightTable window)");
   reset_window(id_base, window);
   head_ = static_cast<std::size_t>(head);
+  // count <= window, and reset_window() has just allocated the window.
+  const auto n = static_cast<std::size_t>(count);
+  ids_.reserve(n);
+  src_.reserve(n);
+  dst_.reserve(n);
+  pos_.reserve(n);
+  entry_dir_.reserve(n);
+  prev_advanced_.reserve(n);
+  prev_num_good_.reserve(n);
+  injected_at_.reserve(n);
+  deflections_.reserve(n);
+  initial_distance_.reserve(n);
   for (std::uint64_t r = 0; r < count; ++r) {
     Packet p;
     p.id = in.i32();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <csignal>
 #include <cstdint>
@@ -283,6 +284,38 @@ TEST(CheckpointRoundTrip, SpansALivelockDetection) {
   EXPECT_EQ(sim::state_fingerprint(tail), sim::state_fingerprint(full));
 }
 
+TEST(CheckpointRoundTrip, StandardScenarioBytesAndFingerprintArePinned) {
+  // Captured before the codec moved to 64 KiB blocks: the block size must
+  // be invisible in the checkpoint bytes and in the state fingerprint. The
+  // 8×8 checkpoint fits in one block; the 32×32 one spans several.
+  struct Golden {
+    int side;
+    std::size_t size;
+    std::uint64_t byte_fnv;
+    std::uint64_t fingerprint;
+  };
+  for (const Golden& g :
+       {Golden{8, 6596, 0x8896bfd535dd6fbeULL, 0xb1a3ce3cefa2159bULL},
+        Golden{32, 83204, 0x3cef38caa9d6f54cULL, 0x73bcded60cbe3b0fULL}}) {
+    net::Mesh mesh(2, g.side);
+    auto problem = scenario(mesh);
+    RestrictedPriorityPolicy policy;
+    sim::Engine engine(mesh, problem, policy, scenario_config(1));
+    engine.run_for(9);
+    std::ostringstream sink;
+    sim::save_checkpoint(engine, sink);
+    const std::string bytes = sink.str();
+    std::uint64_t byte_fnv = util::kFnvOffset;
+    for (const char c : bytes) {
+      byte_fnv = util::fnv1a_byte(byte_fnv, static_cast<std::uint8_t>(c));
+    }
+    EXPECT_EQ(bytes.size(), g.size) << "side " << g.side;
+    EXPECT_EQ(byte_fnv, g.byte_fnv) << "side " << g.side;
+    EXPECT_EQ(sim::state_fingerprint(engine), g.fingerprint)
+        << "side " << g.side;
+  }
+}
+
 // --- failure modes ----------------------------------------------------------
 
 /// A valid checkpoint of the standard scenario at step 9, as raw bytes.
@@ -436,6 +469,48 @@ TEST(CheckpointFailure, OutOfRangeFlightNodesAreRejected) {
   }
 }
 
+TEST(CheckpointFailure, TrailingBytesAreRejected) {
+  // A checkpoint stream holds exactly one checkpoint: anything after the
+  // digest trailer, even a second valid checkpoint, is corruption.
+  net::Mesh mesh(2, 8);
+  const std::string bytes = scenario_checkpoint(mesh);
+  expect_restore_fails(mesh, bytes + '\0');
+  expect_restore_fails(mesh, bytes + bytes);
+  expect_restore_fails(mesh, bytes + std::string(70'000, 'x'));
+}
+
+TEST(CheckpointFailure, HugeLivelockCountFailsAsTruncation) {
+  // The seen-state count is read before the trailer is checked, so it must
+  // not size an allocation: a resealed count of 2^40 entries ends in a
+  // CheckError when the bytes run out, not in bad_alloc.
+  net::Mesh mesh(2, 8);
+  const std::string bytes = scenario_checkpoint(mesh);
+  // The livelock section closes the payload: a u64 count, then 24 bytes
+  // per entry, then the 8-byte trailer.
+  const auto u64_at = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  std::vector<std::size_t> count_at;
+  for (std::uint64_t k = 1; k <= 64; ++k) {
+    const std::size_t at = bytes.size() - 8 - 24 * k - 8;
+    if (u64_at(at) == k) count_at.push_back(at);
+  }
+  ASSERT_EQ(count_at.size(), 1u) << "livelock section not found";
+
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  std::string bad = bytes;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bad[count_at[0] + i] = static_cast<char>(kHuge >> (8 * i));
+  }
+  reseal(bad);
+  expect_restore_fails(mesh, bad);
+}
+
 /// A streambuf that accepts `capacity` bytes and then fails every write:
 /// a device that fills up part-way through a checkpoint.
 class ShortWriteBuf : public std::streambuf {
@@ -530,6 +605,25 @@ TEST(CheckpointFailure, RejectedSaveKeepsThePreviousFile) {
   // With the cap lifted the same save goes through.
   sim::save_checkpoint(engine, path);
   EXPECT_NE(read_file(path), before);
+  std::filesystem::remove(path);
+}
+
+TEST(CheckpointFailure, NonRegularPathIsRefused) {
+  // The save renames its temporary file over `path`; a FIFO (like a
+  // device) there must be refused, left as it was, with no temporary file.
+  net::Mesh mesh(2, 8);
+  const std::string path = testing::TempDir() + "hp_ckpt_fifo.hpck";
+  std::filesystem::remove(path);
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+
+  auto problem = scenario(mesh);
+  RestrictedPriorityPolicy policy;
+  sim::Engine engine(mesh, problem, policy, scenario_config(1));
+  engine.run_for(9);
+  EXPECT_THROW(sim::save_checkpoint(engine, path), CheckError);
+
+  EXPECT_TRUE(std::filesystem::is_fifo(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 }
 

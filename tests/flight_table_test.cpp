@@ -162,6 +162,7 @@ TEST(FlightTableSerialize, RoundTripIsExact) {
   std::ostringstream sink;
   util::BinWriter w(sink);
   table.serialize(w);
+  w.flush();
 
   std::istringstream source(sink.str());
   util::BinReader r(source, "checkpoint");
@@ -186,6 +187,7 @@ TEST(FlightTableSerialize, TruncatedStreamFailsClearly) {
   std::ostringstream sink;
   util::BinWriter w(sink);
   table.serialize(w);
+  w.flush();
   const std::string bytes = sink.str();
   std::istringstream source(bytes.substr(0, bytes.size() / 2));
   util::BinReader r(source, "checkpoint");
@@ -212,6 +214,7 @@ std::string one_packet_stream(PacketId id) {
   w.u64(0);   // injected_at
   w.u64(0);   // deflections
   w.i32(4);   // initial_distance
+  w.flush();
   return sink.str();
 }
 

@@ -11,6 +11,7 @@ Usage: hpsim_cli_test.py /path/to/hpsim
 
 import json
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -261,6 +262,21 @@ def test_restore_mismatch_rejected(hpsim, tmp):
     check("truncation error is clear", "truncat" in cut.stderr)
 
 
+def test_failed_artifact_writes_exit_nonzero(hpsim):
+    """A full device must not leave a truncated artifact behind an exit 0.
+    Opening /dev/full for writing is harmless: every write fails ENOSPC."""
+    full = pathlib.Path("/dev/full")
+    if not (full.exists() and stat.S_ISCHR(full.stat().st_mode)):
+        print("  skip: /dev/full is not a character device")
+        return
+    for flag in ("--metrics", "--trace"):
+        proc = run(hpsim, *batch_args(flag, str(full)))
+        check(f"{flag} to a full device exits 2", proc.returncode == 2,
+              f"exit={proc.returncode}")
+        check(f"{flag} write failure names the path",
+              "write to /dev/full failed" in proc.stderr, proc.stderr)
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: hpsim_cli_test.py /path/to/hpsim", file=sys.stderr)
@@ -280,6 +296,7 @@ def main():
         test_checkpoint_roundtrip(hpsim, tmp)
         test_checkpoint_conflicts(hpsim, tmp)
         test_restore_mismatch_rejected(hpsim, tmp)
+        test_failed_artifact_writes_exit_nonzero(hpsim)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s): {', '.join(FAILURES)}")
         return 1

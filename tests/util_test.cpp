@@ -1,4 +1,5 @@
-// Unit tests for the util layer: RNG, InlineVector, stats, CSV, tables.
+// Unit tests for the util layer: RNG, InlineVector, stats, CSV, tables,
+// and the block-buffered binary codec.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,7 +8,9 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <string>
 
+#include "util/binio.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/inline_vector.hpp"
@@ -320,6 +323,134 @@ TEST(Check, MessageCarriesContext) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("the detail"), std::string::npos);
   }
+}
+
+
+// --- binary codec ------------------------------------------------------------
+
+/// FNV-1a over `bytes`, one byte at a time: the reference every codec
+/// digest must equal.
+std::uint64_t fnv1a_reference(const std::string& bytes) {
+  std::uint64_t hash = util::kFnvOffset;
+  for (const char c : bytes) {
+    hash = util::fnv1a_byte(hash, static_cast<std::uint8_t>(c));
+  }
+  return hash;
+}
+
+/// Writes 23-byte records of mixed widths spanning `blocks` 64 KiB blocks.
+/// A u8 prefix of length `shift` moves which field of a record straddles
+/// each boundary at which the reader refills.
+void write_pattern(util::BinWriter& w, std::size_t shift, int blocks) {
+  for (std::size_t i = 0; i < shift; ++i) w.u8(static_cast<std::uint8_t>(i));
+  const std::size_t records =
+      static_cast<std::size_t>(blocks) * util::kBinBlockBytes / 23 + 1;
+  for (std::size_t i = 0; i < records; ++i) {
+    w.u64(0x0123456789abcdefULL * (i + 1));
+    w.i32(-static_cast<std::int32_t>(i));
+    w.i8(static_cast<std::int8_t>(i));
+    w.str("ab");  // 4-byte length + 2 bytes
+    w.u32(static_cast<std::uint32_t>(i));
+  }
+}
+
+void read_pattern(util::BinReader& r, std::size_t shift, int blocks) {
+  for (std::size_t i = 0; i < shift; ++i) {
+    ASSERT_EQ(r.u8(), static_cast<std::uint8_t>(i));
+  }
+  const std::size_t records =
+      static_cast<std::size_t>(blocks) * util::kBinBlockBytes / 23 + 1;
+  for (std::size_t i = 0; i < records; ++i) {
+    ASSERT_EQ(r.u64(), 0x0123456789abcdefULL * (i + 1)) << "record " << i;
+    ASSERT_EQ(r.i32(), -static_cast<std::int32_t>(i));
+    ASSERT_EQ(r.i8(), static_cast<std::int8_t>(i));
+    ASSERT_EQ(r.str(), "ab");
+    ASSERT_EQ(r.u32(), static_cast<std::uint32_t>(i));
+  }
+}
+
+TEST(BinIO, ValuesStraddlingBlockBoundariesRoundTrip) {
+  // The reader's first refill boundary, stream byte 65536, falls inside an
+  // i32 (shift 0), a u64 (3), a u32 (11) and a string length (17).
+  for (const std::size_t shift : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{11}, std::size_t{17}}) {
+    std::ostringstream sink;
+    util::BinWriter w(sink);
+    write_pattern(w, shift, 3);
+    const std::uint64_t payload_digest = w.digest();
+    w.write_digest_trailer();
+    ASSERT_TRUE(w.good());
+    const std::string bytes = sink.str();
+    ASSERT_GT(bytes.size(), 3 * util::kBinBlockBytes);
+
+    const std::string payload = bytes.substr(0, bytes.size() - 8);
+    EXPECT_EQ(payload_digest, fnv1a_reference(payload)) << "shift " << shift;
+
+    std::istringstream source(bytes);
+    util::BinReader r(source, "artifact");
+    read_pattern(r, shift, 3);
+    EXPECT_EQ(r.digest(), payload_digest);
+    EXPECT_NO_THROW(r.verify_digest_trailer());
+    EXPECT_NO_THROW(r.expect_end());
+  }
+}
+
+TEST(BinIO, HashOnlyWriterMatchesStreamedDigest) {
+  std::ostringstream sink;
+  util::BinWriter streamed(sink);
+  util::BinWriter hashed;
+  write_pattern(streamed, 5, 2);
+  write_pattern(hashed, 5, 2);
+  EXPECT_EQ(hashed.digest(), streamed.digest());
+  EXPECT_TRUE(hashed.good());
+  streamed.flush();
+  EXPECT_EQ(hashed.digest(), fnv1a_reference(sink.str()));
+}
+
+TEST(BinIO, WriterHandsBytesToTheStreamOnFlushAndDestruction) {
+  std::ostringstream sink;
+  {
+    util::BinWriter w(sink);
+    w.u32(0x04030201);
+    EXPECT_TRUE(sink.str().empty()) << "bytes reach the stream per block";
+    w.flush();
+    EXPECT_EQ(sink.str(), std::string("\x01\x02\x03\x04"));
+    w.u8(5);
+  }
+  EXPECT_EQ(sink.str(), std::string("\x01\x02\x03\x04\x05"));
+}
+
+TEST(BinIO, TruncationAndTrailingBytesFailClearly) {
+  std::ostringstream sink;
+  {
+    util::BinWriter w(sink);
+    write_pattern(w, 0, 1);
+    w.write_digest_trailer();
+  }
+  const std::string bytes = sink.str();
+  const auto message = [](const std::string& input, bool trailing) {
+    std::istringstream source(input);
+    util::BinReader r(source, "artifact");
+    try {
+      read_pattern(r, 0, 1);
+      r.verify_digest_trailer();
+      if (trailing) r.expect_end();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // A cut inside the payload's second block, then inside the trailer.
+  EXPECT_NE(message(bytes.substr(0, util::kBinBlockBytes + 3), false)
+                .find("artifact is truncated or corrupt (unexpected end of "
+                      "data)"),
+            std::string::npos);
+  EXPECT_NE(message(bytes.substr(0, bytes.size() - 3), false)
+                .find("artifact is truncated (missing checksum trailer)"),
+            std::string::npos);
+  EXPECT_EQ(message(bytes, true), "");
+  EXPECT_NE(message(bytes + '\0', true).find("trailing bytes"),
+            std::string::npos);
 }
 
 }  // namespace
