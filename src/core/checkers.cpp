@@ -2,31 +2,13 @@
 
 #include <sstream>
 
-#include "sim/engine.hpp"
-
 namespace hp::core {
-
-namespace {
-
-/// Iterates assignments grouped by node; calls fn(begin, end) per group.
-template <typename Fn>
-void for_each_node_group(std::span<const sim::Assignment> as, Fn&& fn) {
-  std::size_t begin = 0;
-  while (begin < as.size()) {
-    std::size_t end = begin;
-    while (end < as.size() && as[end].node == as[begin].node) ++end;
-    fn(begin, end);
-    begin = end;
-  }
-}
-
-}  // namespace
 
 void GreedyChecker::on_step(const sim::Engine& /*engine*/,
                             const sim::StepRecord& record) {
   ++steps_;
   const auto& as = record.assignments;
-  for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
+  sim::for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
     // Which directions are used by advancing packets at this node?
     std::uint32_t advancing_mask = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -50,7 +32,7 @@ void GreedyChecker::on_step(const sim::Engine& /*engine*/,
 void RestrictedPreferenceChecker::on_step(const sim::Engine& /*engine*/,
                                           const sim::StepRecord& record) {
   const auto& as = record.assignments;
-  for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
+  sim::for_each_node_group(as, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       if (as[i].advances() || as[i].num_good() != 1) continue;
       ++restricted_deflections_;

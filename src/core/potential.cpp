@@ -51,13 +51,8 @@ void PotentialTracker::on_step(const sim::Engine& engine,
   const std::int64_t max_per_packet =
       config_.c_init + static_cast<std::int64_t>(net_.diameter());
 
-  std::size_t group_begin = 0;
-  while (group_begin < as.size()) {
-    std::size_t group_end = group_begin;
-    while (group_end < as.size() &&
-           as[group_end].node == as[group_begin].node) {
-      ++group_end;
-    }
+  sim::for_each_node_group(as, [&](std::size_t group_begin,
+                                   std::size_t group_end) {
     const net::NodeId node = as[group_begin].node;
     const auto num = static_cast<std::int64_t>(group_end - group_begin);
 
@@ -153,9 +148,7 @@ void PotentialTracker::on_step(const sim::Engine& engine,
           NodeViolation{record.step, node, lost, required});
     }
     phi_ -= lost;
-
-    group_begin = group_end;
-  }
+  });
 
   phi_series_.push_back(phi_);
 }

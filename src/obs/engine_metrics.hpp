@@ -20,27 +20,7 @@ namespace hp::obs {
 
 class EngineMetrics : public sim::StepObserver {
  public:
-  struct Config {
-    /// Histogram ranges: [0, *_hi) with *_bins fixed-width bins;
-    /// out-of-range samples clamp to the edge bins, the summary stats
-    /// stay exact.
-    double latency_hi = 4096.0;
-    std::size_t latency_bins = 64;
-    double deflections_hi = 256.0;
-    std::size_t deflections_bins = 64;
-    /// Definition 9 bad-node threshold d (a node is bad when it holds
-    /// more than `bad_threshold` packets).
-    int bad_threshold = 2;
-    /// Mirror Engine::memory_stats() into engine.memory.* gauges each
-    /// step. Off by default: the gauges query the engine (capacities vary
-    /// with thread count), so snapshots of runs that enable this are
-    /// reporting data, not deterministic artifacts.
-    bool memory_gauges = false;
-  };
-
-  explicit EngineMetrics(MetricsRegistry& registry)
-      : EngineMetrics(registry, Config{}) {}
-  EngineMetrics(MetricsRegistry& registry, Config config);
+  explicit EngineMetrics(MetricsRegistry& registry);
 
   /// Mirror Φ(t) from a PotentialTracker registered on the same engine
   /// *before* this observer (gauges reflect the tracker's post-step
@@ -61,10 +41,8 @@ class EngineMetrics : public sim::StepObserver {
  private:
   void potential_gauges(const core::PotentialTracker& tracker);
   void surface_gauges(const core::SurfaceTracker& tracker);
-  void memory_gauges(const sim::Engine& engine);
 
   MetricsRegistry* registry_;
-  Config config_;
   const core::PotentialTracker* potential_ = nullptr;
   const core::SurfaceTracker* surface_ = nullptr;
 

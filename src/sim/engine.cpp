@@ -120,8 +120,7 @@ Engine::Engine(const net::Network& net, const workload::Problem& problem,
       policy_(policy),
       config_(config),
       arcs_(net),
-      occupancy_(net.num_nodes()),
-      node_stamp_(net.num_nodes(), ~std::uint64_t{0}) {
+      occupancy_(net.num_nodes()) {
   HP_REQUIRE(config_.num_threads >= 1 && config_.num_threads <= 512,
              "num_threads must be in [1, 512]");
   archive_.set_keep_records(config_.archive_arrivals);
@@ -178,14 +177,22 @@ void Engine::add_observer(StepObserver* observer) {
 Packet Engine::packet(PacketId id) const {
   const FlightTable::Slot s = flight_.slot_of(id);
   if (s != FlightTable::kNoSlot) return flight_.materialize(s);
-  for (const Packet& p : step_arrivals_) {
-    if (p.id == id) return p;
+  // apply_assignments() archives this step's arrivals as it removes them,
+  // so the O(1) archive index answers them too; only an engine without an
+  // archive scans the step's arrival buffer.
+  const Packet* found = archive_.find(id);
+  if (found == nullptr && !config_.archive_arrivals) {
+    for (const Packet& p : step_arrivals_) {
+      if (p.id == id) {
+        found = &p;
+        break;
+      }
+    }
   }
-  const Packet* archived = archive_.find(id);
-  HP_CHECK(archived != nullptr,
+  HP_CHECK(found != nullptr,
            "no record of packet " + std::to_string(id) +
                " (delivered and archive_arrivals is off?)");
-  return *archived;
+  return *found;
 }
 
 net::NodeId Engine::packet_dst(PacketId id) const {
@@ -213,8 +220,7 @@ EngineMemoryStats Engine::memory_stats() const {
   };
   EngineMemoryStats stats;
   stats.topology_bytes = arcs_.memory_bytes();
-  stats.occupancy_bytes =
-      vec_bytes(occupancy_) + vec_bytes(occupied_) + vec_bytes(node_stamp_);
+  stats.occupancy_bytes = vec_bytes(occupancy_) + vec_bytes(occupied_);
   stats.flight_bytes = flight_.memory_bytes();
   stats.archive_bytes = archive_.memory_bytes();
   stats.scratch_bytes = vec_bytes(assignments_) + vec_bytes(step_arrivals_) +
@@ -369,13 +375,9 @@ void Engine::bucket_owner(std::size_t owner) {
   // owner's nodes — independent of how many scan tasks produced the rows.
   for (std::size_t r = 0; r < occ_shards_; ++r) {
     for (const auto& [node, id] : scatter_[r * occ_shards_ + owner]) {
-      const auto n = static_cast<std::size_t>(node);
-      if (node_stamp_[n] != now_) {
-        node_stamp_[n] = now_;
-        occupancy_[n].clear();
-        shard.occ_nodes.push_back(node);
-      }
-      sorted_insert(occupancy_[n], id);
+      Bucket& bucket = occupancy_[static_cast<std::size_t>(node)];
+      if (bucket.empty()) shard.occ_nodes.push_back(node);
+      sorted_insert(bucket, id);
     }
   }
 }
@@ -394,13 +396,9 @@ void Engine::build_occupancy() {
     }
     for (FlightTable::Slot s = 0; s < flight_.end_slot(); ++s) {
       const net::NodeId node = flight_.pos(s);
-      const auto n = static_cast<std::size_t>(node);
-      if (node_stamp_[n] != now_) {
-        node_stamp_[n] = now_;
-        occupancy_[n].clear();
-        shards_[owner_of(node)].occ_nodes.push_back(node);
-      }
-      sorted_insert(occupancy_[n], flight_.id(s));
+      Bucket& bucket = occupancy_[static_cast<std::size_t>(node)];
+      if (bucket.empty()) shards_[owner_of(node)].occ_nodes.push_back(node);
+      sorted_insert(bucket, flight_.id(s));
     }
   }
   for (std::size_t o = 0; o < occ_shards_; ++o) {
@@ -440,17 +438,11 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
   }
 
   // Capacity rule: a node never holds more packets than its out-degree.
-  const auto node = static_cast<std::size_t>(src);
-  if (node_stamp_[node] != now_) {
-    node_stamp_[node] = now_;
-    occupancy_[node].clear();
-    occupied_.push_back(src);
-  }
-  if (static_cast<int>(occupancy_[node].size()) >= arcs_.degree(src)) {
-    return false;
-  }
+  Bucket& bucket = occupancy_[static_cast<std::size_t>(src)];
+  if (static_cast<int>(bucket.size()) >= arcs_.degree(src)) return false;
+  if (bucket.empty()) occupied_.push_back(src);
   ++next_id_;
-  sorted_insert(occupancy_[node], p.id);
+  sorted_insert(bucket, p.id);
   flight_.insert(p);
   return true;
 }
@@ -519,7 +511,9 @@ void Engine::route_range(std::size_t begin, std::size_t end,
                          std::vector<Assignment>& out) {
   for (std::size_t i = begin; i < end; ++i) {
     const net::NodeId node = occupied_[i];
-    route_node(node, occupancy_[static_cast<std::size_t>(node)], out);
+    Bucket& residents = occupancy_[static_cast<std::size_t>(node)];
+    route_node(node, residents, out);
+    residents.clear();  // buckets are empty between steps
   }
 }
 

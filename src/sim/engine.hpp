@@ -64,7 +64,7 @@ namespace hp::sim {
 /// artifact.
 struct EngineMemoryStats {
   std::size_t topology_bytes = 0;   ///< per-node arc table (4 B/node)
-  std::size_t occupancy_bytes = 0;  ///< per-node buckets, stamps, occupied
+  std::size_t occupancy_bytes = 0;  ///< per-node buckets, occupied list
   std::size_t flight_bytes = 0;     ///< FlightTable columns + locator
   std::size_t archive_bytes = 0;    ///< ArrivalLog in-memory side
   std::size_t scratch_bytes = 0;    ///< assignments, masks, shard buffers
@@ -131,7 +131,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Executes one synchronous step. Returns false (and does nothing) when
-  /// no packets remain in flight and no injector is installed.
+  /// no packets remain in flight and no injector is installed. A step that
+  /// throws (a policy or model violation) may leave residents in node
+  /// buckets that routing never emptied; do not step the engine again.
   bool step();
 
   /// Runs until completion, livelock, or the step cap.
@@ -216,11 +218,10 @@ class Engine {
   /// Checkpoint save/restore and the state fingerprint (checkpoint.cpp)
   /// serialize private counters and scratch-free state directly.
   friend class CheckpointIO;
-  /// Residents of one node in one step; bounded by the node degree. The
-  /// cache-line alignment keeps buckets of adjacent nodes — filled by
-  /// different owner shards at an ownership boundary — off shared lines.
-  using Bucket =
-      InlineVector<PacketId, 2 * net::kMaxDim, util::kCacheLineBytes>;
+  /// Residents of one node in one step, bounded by the node degree. Filled
+  /// by build_occupancy()/try_inject(), emptied by route_range() right
+  /// after routing, so every bucket is empty between steps.
+  using Bucket = InlineVector<PacketId, 2 * net::kMaxDim>;
 
   /// What one barrier epoch computes. Kinds and task *boundaries* are
   /// chosen by the main thread before the epoch opens; tickets only pick
@@ -307,7 +308,6 @@ class Engine {
   // Per-step scratch, kept as members to avoid reallocation.
   std::vector<Bucket> occupancy_;      // node -> resident packets, id order
   std::vector<net::NodeId> occupied_;  // nodes with residents, owner-grouped
-  std::vector<std::uint64_t> node_stamp_;  // occupancy freshness
   std::vector<Assignment> assignments_;
   std::vector<Packet> step_arrivals_;  // this step's arrival records
   /// Good-direction bitmask per flight slot, batch-computed once per step

@@ -50,8 +50,8 @@ Packet FlightTable::materialize(Slot s) const {
   return p;
 }
 
-FlightTable::Slot FlightTable::insert(const Packet& p) {
-  // Narrow first: an overflow must leave the table untouched.
+FlightTable::Slot FlightTable::append_row(const Packet& p) {
+  // Narrow first: an overflow must leave every column untouched.
   const std::uint32_t injected_at = narrow_u32(p.injected_at, "injected_at");
   const std::uint32_t deflections = narrow_u32(p.deflections, "deflections");
   const auto slot = static_cast<Slot>(ids_.size());
@@ -65,6 +65,11 @@ FlightTable::Slot FlightTable::insert(const Packet& p) {
   injected_at_.push_back(injected_at);
   deflections_.push_back(deflections);
   initial_distance_.push_back(p.initial_distance);
+  return slot;
+}
+
+FlightTable::Slot FlightTable::insert(const Packet& p) {
+  const Slot slot = append_row(p);
   push_locator(p.id, slot);
   return slot;
 }
@@ -188,18 +193,7 @@ void FlightTable::deserialize(util::BinReader& in) {
     p.injected_at = in.u64();
     p.deflections = in.u64();
     p.initial_distance = in.i32();
-
-    const auto slot = static_cast<Slot>(ids_.size());
-    ids_.push_back(p.id);
-    src_.push_back(p.src);
-    dst_.push_back(p.dst);
-    pos_.push_back(p.pos);
-    entry_dir_.push_back(p.last_move_dir);
-    prev_advanced_.push_back(p.prev_advanced ? 1 : 0);
-    prev_num_good_.push_back(static_cast<std::int8_t>(p.prev_num_good));
-    injected_at_.push_back(narrow_u32(p.injected_at, "injected_at"));
-    deflections_.push_back(narrow_u32(p.deflections, "deflections"));
-    initial_distance_.push_back(p.initial_distance);
+    const Slot slot = append_row(p);
 
     const auto i = static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.id));
     HP_REQUIRE(i >= id_base_ && i - id_base_ < locator_.size(),

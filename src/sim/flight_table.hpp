@@ -119,6 +119,9 @@ class FlightTable {
 
  private:
   std::size_t idx(Slot s) const { return static_cast<std::size_t>(s); }
+  /// Appends `p` as the last row of every column (no locator entry).
+  /// Narrows the 32-bit bookkeeping columns before any column grows.
+  Slot append_row(const Packet& p);
   void push_locator(PacketId id, Slot slot);
   void reclaim_locator_prefix();
   void bump_deflections(std::size_t i);

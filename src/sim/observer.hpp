@@ -15,6 +15,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -65,6 +66,20 @@ struct StepRecord {
   /// Packets still in flight after the movement was applied.
   std::size_t in_flight_after = 0;
 };
+
+/// Calls fn(begin, end) once per node group of `as`: each maximal run
+/// [begin, end) of assignments at the same node, in record order. Relies
+/// on the contract above that one node's assignments are contiguous.
+template <typename Fn>
+void for_each_node_group(std::span<const Assignment> as, Fn&& fn) {
+  std::size_t begin = 0;
+  while (begin < as.size()) {
+    std::size_t end = begin;
+    while (end < as.size() && as[end].node == as[begin].node) ++end;
+    fn(begin, end);
+    begin = end;
+  }
+}
 
 class StepObserver {
  public:

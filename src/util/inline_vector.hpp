@@ -8,23 +8,25 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <type_traits>
 
 #include "util/check.hpp"
 
 namespace hp {
 
-/// A contiguous sequence with capacity fixed at compile time and size
-/// tracked at run time. Supports trivially-destructible and nontrivial T.
-/// Exceeding capacity is a checked error (throws hp::CheckError).
-/// `Align` raises the storage alignment above T's natural one — the engine
-/// aligns per-node buckets to cache lines so adjacent nodes written by
-/// different shards never share a line.
-template <typename T, std::size_t N, std::size_t Align = alignof(T)>
+/// A contiguous sequence of plain values with capacity fixed at compile
+/// time and size tracked at run time. T must be trivially copyable: the
+/// container copies as bytes, never destroys an element, and clear() is
+/// one store. Exceeding capacity is a checked error (throws
+/// hp::CheckError).
+template <typename T, std::size_t N>
 class InlineVector {
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0,
-                "Align must be a power of two no weaker than alignof(T)");
+  static_assert(std::is_trivially_copyable_v<T>,
+                "InlineVector holds trivially copyable values only");
+
  public:
   using value_type = T;
   using iterator = T*;
@@ -36,36 +38,6 @@ class InlineVector {
     HP_REQUIRE(items.size() <= N, "InlineVector initializer too long");
     for (const T& item : items) push_back(item);
   }
-
-  InlineVector(const InlineVector& other) {
-    for (const T& item : other) push_back(item);
-  }
-
-  InlineVector& operator=(const InlineVector& other) {
-    if (this != &other) {
-      clear();
-      for (const T& item : other) push_back(item);
-    }
-    return *this;
-  }
-
-  InlineVector(InlineVector&& other) noexcept(
-      std::is_nothrow_move_constructible_v<T>) {
-    for (T& item : other) push_back(std::move(item));
-    other.clear();
-  }
-
-  InlineVector& operator=(InlineVector&& other) noexcept(
-      std::is_nothrow_move_constructible_v<T>) {
-    if (this != &other) {
-      clear();
-      for (T& item : other) push_back(std::move(item));
-      other.clear();
-    }
-    return *this;
-  }
-
-  ~InlineVector() { clear(); }
 
   static constexpr std::size_t capacity() { return N; }
   std::size_t size() const { return size_; }
@@ -94,36 +66,25 @@ class InlineVector {
   T& back() { return (*this)[size_ - 1]; }
   const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(const T& value) { emplace_back(value); }
-  void push_back(T&& value) { emplace_back(std::move(value)); }
-
-  template <typename... Args>
-  T& emplace_back(Args&&... args) {
+  void push_back(const T& value) {
     HP_CHECK(size_ < N, "InlineVector overflow");
-    T* slot = data() + size_;
-    ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+    ::new (static_cast<void*>(data() + size_)) T(value);
     ++size_;
-    return *slot;
   }
 
   void pop_back() {
     HP_CHECK(size_ > 0, "pop_back on empty InlineVector");
     --size_;
-    data()[size_].~T();
   }
 
   /// Removes the element at index i, preserving order of the rest.
   void erase_at(std::size_t i) {
     HP_CHECK(i < size_, "erase_at out of range");
-    for (std::size_t j = i + 1; j < size_; ++j) {
-      data()[j - 1] = std::move(data()[j]);
-    }
-    pop_back();
+    std::copy(begin() + i + 1, end(), begin() + i);
+    --size_;
   }
 
-  void clear() {
-    while (size_ > 0) pop_back();
-  }
+  void clear() { size_ = 0; }
 
   bool contains(const T& value) const {
     return std::find(begin(), end(), value) != end();
@@ -134,8 +95,8 @@ class InlineVector {
   }
 
  private:
-  alignas(Align) std::array<std::byte, sizeof(T) * N> storage_;
-  std::size_t size_ = 0;
+  alignas(T) std::array<std::byte, sizeof(T) * N> storage_;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace hp

@@ -293,6 +293,51 @@ TEST(Engine, DeterministicPoliciesReproduce) {
   }
 }
 
+TEST(Engine, PacketResolvesThisStepsArrivalsWithOrWithoutArchive) {
+  // Engine::packet() answers an arrival of the current step from the
+  // archive index when there is one and from the step's arrival buffer
+  // when there is not; an archive-less engine forgets the arrival once a
+  // later step replaces that buffer.
+  for (const bool archive : {true, false}) {
+    net::Mesh mesh(2, 8);
+    Rng rng(5);
+    auto problem = workload::random_permutation(mesh, rng);
+    FirstGoodPolicy policy;
+    sim::EngineConfig config;
+    config.archive_arrivals = archive;
+    sim::Engine engine(mesh, problem, policy, config);
+
+    class ArrivalLookup : public sim::StepObserver {
+     public:
+      void on_step(const sim::Engine& engine,
+                   const sim::StepRecord& record) override {
+        for (const sim::Packet& p : record.arrivals) {
+          const sim::Packet found = engine.packet(p.id);
+          EXPECT_EQ(found.arrived_at, record.step + 1);
+          EXPECT_EQ(found.dst, p.dst);
+          EXPECT_EQ(found.deflections, p.deflections);
+          EXPECT_EQ(engine.packet_dst(p.id), p.dst);
+          if (first < 0) {
+            first = p.id;
+            first_arrival = p.arrived_at;
+          }
+        }
+      }
+      sim::PacketId first = -1;
+      std::uint64_t first_arrival = 0;
+    } lookup;
+    engine.add_observer(&lookup);
+    ASSERT_TRUE(engine.run().completed);
+    ASSERT_GE(lookup.first, 0);
+    ASSERT_LT(lookup.first_arrival, engine.last_arrival_step());
+    if (archive) {
+      EXPECT_EQ(engine.packet(lookup.first).arrived_at, lookup.first_arrival);
+    } else {
+      EXPECT_THROW(engine.packet(lookup.first), CheckError);
+    }
+  }
+}
+
 TEST(StateDigest, DistinguishesConfigurations) {
   std::vector<sim::Packet> a(2), b(2);
   a[0].id = 0; a[0].pos = 3; a[1].id = 1; a[1].pos = 5;

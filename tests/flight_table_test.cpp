@@ -54,6 +54,8 @@ TEST(EngineMemory, ArcTableAndColumnsStayCompact) {
   const std::size_t packets = engine.in_flight();
   EXPECT_GE(stats.flight_bytes, 35 * packets);
   EXPECT_LE(stats.flight_bytes, 2 * 35 * packets);
+  // One unpadded bucket per node: 16 ids and a 32-bit size.
+  EXPECT_LE(stats.occupancy_bytes, 68 * mesh.num_nodes());
 }
 
 // --- overflow boundaries ----------------------------------------------------
