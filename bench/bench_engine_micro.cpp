@@ -182,8 +182,8 @@ void measure_permutation(bench::JsonReport& report, int n, int threads,
 /// One point of the n-scaling series (docs/SCALE.md): a short saturated
 /// run on the side×side mesh.
 /// Reports steps/sec plus bytes/node from Engine::memory_stats() —
-/// bench_compare gates only steps_per_sec (bytes/node is capacity-exact
-/// but documented in docs/SCALE.md rather than diff-gated).
+/// bench_compare gates steps_per_sec by threshold and the capacity-exact
+/// bytes_per_node, flight_bytes and topology_bytes by equality.
 void measure_scale(bench::JsonReport& report, int side, std::uint64_t steps) {
   net::Mesh mesh(2, side);
   Rng rng(17);

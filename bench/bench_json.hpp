@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace hp::bench {
 
 /// Accumulates named metric groups and writes them as one JSON object:
@@ -23,12 +25,11 @@ class JsonReport {
     entries_.emplace_back(name, std::move(metrics));
   }
 
+  /// Throws hp::CheckError when `path` cannot be opened or the document
+  /// does not reach it whole (a full disk, a short write).
   void write(const std::string& path) const {
     std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return;
-    }
+    HP_CHECK(out.is_open(), "cannot open " + path + " for writing");
     out << std::setprecision(12);
     out << "{\n  \"schema\": \"" << schema_ << "\",\n  \"entries\": {\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -41,6 +42,8 @@ class JsonReport {
       out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
     out << "  }\n}\n";
+    out.flush();
+    HP_CHECK(out.good(), "failed writing " + path);
     std::cout << "wrote " << path << " (" << entries_.size() << " entries)\n";
   }
 

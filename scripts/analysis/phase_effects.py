@@ -728,9 +728,12 @@ class RegionAnalyzer:
 
     # -- method summaries ---------------------------------------------------
 
-    def column_summary(self, cls: str, method: str) -> list[tuple[str, str]] | None:
-        """Direct column effects of a parsed class's method body:
-        [(column, kind)]. None when the method body is unknown."""
+    def column_summary(
+        self, cls: str, method: str, _seen: frozenset[str] = frozenset()
+    ) -> list[tuple[str, str]] | None:
+        """Column effects of a parsed class's method body, including those
+        of the same-class helpers it calls: [(column, kind)]. None when the
+        method body is unknown."""
         fn = None
         for cand in self.model.fns.values():
             if cand.cls == cls and cand.name == method:
@@ -738,14 +741,21 @@ class RegionAnalyzer:
                 break
         if fn is None:
             return None
+        seen = _seen | {method}
         cols = self.model.classes.get(cls, {})
         out: list[tuple[str, str]] = []
         body = fn.body
         for i, t in enumerate(body):
-            if not t.is_ident or t.value not in cols:
+            if not t.is_ident:
                 continue
             prev = body[i - 1].value if i > 0 else ""
             if prev in (".", "->"):
+                continue
+            if t.value not in cols:
+                # `helper(...)` on this object: its columns are ours too
+                is_call = i + 1 < len(body) and body[i + 1].value == "("
+                if is_call and prev != "::" and t.value not in seen:
+                    out += self.column_summary(cls, t.value, seen) or []
                 continue
             j = i + 1
             while j < len(body) and body[j].value == "[":

@@ -134,6 +134,40 @@ class GoodFixture(unittest.TestCase):
         self.assertFalse(self.model.method_const[("FlightTable", "move")])
 
 
+class HelperColumns(unittest.TestCase):
+    """Columns a FlightTable method writes through same-class helpers."""
+
+    @classmethod
+    def setUpClass(cls):
+        root = EFFECTS / "helper_columns"
+        cls.model = phase_effects.load_model(root)
+        result = phase_effects.analyze(cls.model)
+        cls.artifact = phase_effects.build_artifact(cls.model, result)
+        cls.findings = result.findings
+
+    def test_no_findings(self):
+        self.assertEqual(self.findings, [])
+
+    def test_method_summary_follows_helpers(self):
+        analyzer = phase_effects.RegionAnalyzer(self.model)
+        self.assertEqual(
+            analyzer.column_summary("FlightTable", "move"),
+            [("hops_", "write"), ("pos_", "write")],
+        )
+        self.assertEqual(
+            analyzer.column_summary("FlightTable", "insert"),
+            [("hops_", "write"), ("pos_", "write")],
+        )
+
+    def test_parallel_write_set_names_helper_column(self):
+        route = self.artifact["phases"]["parallel"]["kRoute"]
+        self.assertEqual(route["writes"]["flight_.hops_"], "owned")
+
+    def test_serial_write_set_lists_columns_not_the_table(self):
+        step = self.artifact["phases"]["serial"]["step"]
+        self.assertEqual(step["writes"], ["flight_.hops_", "flight_.pos_"])
+
+
 class BadFixtures(unittest.TestCase):
     """One seeded violation per fixture; censuses are exact."""
 

@@ -8,6 +8,10 @@ plus synthetic inputs for the failure paths (duplicate entries, missing
 cells, schema mismatches). The process-spawning `run` subcommand is
 exercised end-to-end by CI's sweep-smoke job, not here.
 
+With `--bench PATH` (bench_sweep's binary), it also checks that a sweep
+whose JSON report cannot be written exits nonzero; without it those
+cases are skipped.
+
 Stdlib only; runs under ctest as `sweep_selftest`.
 """
 
@@ -16,7 +20,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+import stat
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -170,5 +177,39 @@ class ExtractTest(unittest.TestCase):
             self.assertEqual(rc, 1)
 
 
+BENCH = None  # bench_sweep binary, from --bench
+
+
+class JsonWriteFailureTest(unittest.TestCase):
+    """A report that does not reach its file fails the sweep."""
+
+    def setUp(self):
+        if BENCH is None:
+            self.skipTest("needs --bench PATH to bench_sweep")
+
+    def run_cell(self, out):
+        return subprocess.run(
+            [BENCH, "--cell", CELLS[0], "--out", str(out)],
+            capture_output=True, text=True, timeout=120)
+
+    def test_missing_directory_exits_nonzero(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = self.run_cell(pathlib.Path(tmp) / "missing" / "a.json")
+        self.assertNotEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("cannot open", proc.stderr)
+
+    def test_full_device_exits_nonzero(self):
+        full = pathlib.Path("/dev/full")
+        if not (full.exists() and stat.S_ISCHR(os.stat(full).st_mode)):
+            self.skipTest("/dev/full is not a character device here")
+        proc = self.run_cell(full)
+        self.assertNotEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("failed writing", proc.stderr)
+
+
 if __name__ == "__main__":
+    if "--bench" in sys.argv:
+        at = sys.argv.index("--bench")
+        BENCH = sys.argv[at + 1]
+        del sys.argv[at:at + 2]
     unittest.main(verbosity=2)

@@ -73,27 +73,21 @@ void write_chrome_trace(std::ostream& out, const TraceRing& ring);
 
 /// Engine observer emitting the deterministic packet-lifecycle trace:
 ///   * one complete span per delivered packet (ts = injection step,
-///     dur = latency, laid out over `packet_tracks` round-robin tracks),
+///     dur = latency, laid out over kPacketTracks round-robin tracks),
 ///   * one in-flight counter sample per step.
 /// All timestamps are virtual (step = 1 us); see the header comment.
 class TraceObserver : public sim::StepObserver {
  public:
-  struct Config {
-    /// Emit the per-step "in_flight" counter track.
-    bool counters = true;
-    /// Number of tid tracks packet spans are spread over (id mod tracks).
-    std::uint32_t packet_tracks = 64;
-  };
+  /// Number of tid tracks packet spans are spread over (id mod tracks).
+  static constexpr std::uint32_t kPacketTracks = 64;
 
-  explicit TraceObserver(TraceRing& ring) : TraceObserver(ring, Config{}) {}
-  TraceObserver(TraceRing& ring, Config config);
+  explicit TraceObserver(TraceRing& ring) : ring_(ring) {}
 
   void on_step(const sim::Engine& engine,
                const sim::StepRecord& record) override;
 
  private:
   TraceRing& ring_;
-  Config config_;
 };
 
 }  // namespace hp::obs

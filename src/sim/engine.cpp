@@ -224,11 +224,11 @@ EngineMemoryStats Engine::memory_stats() const {
   stats.flight_bytes = flight_.memory_bytes();
   stats.archive_bytes = archive_.memory_bytes();
   stats.scratch_bytes = vec_bytes(assignments_) + vec_bytes(step_arrivals_) +
-                        vec_bytes(good_mask_) + vec_bytes(epoch_ns_) +
-                        vec_bytes(shards_) + vec_bytes(scatter_);
+                        vec_bytes(good_mask_) + vec_bytes(route_base_) +
+                        vec_bytes(epoch_ns_) + vec_bytes(shards_) +
+                        vec_bytes(scatter_);
   for (const ShardState& s : shards_) {
-    stats.scratch_bytes += vec_bytes(s.route_buf) + vec_bytes(s.occ_nodes) +
-                           vec_bytes(s.arrivals);
+    stats.scratch_bytes += vec_bytes(s.occ_nodes) + vec_bytes(s.arrivals);
   }
   for (const auto& row : scatter_) stats.scratch_bytes += vec_bytes(row);
   return stats;
@@ -340,7 +340,7 @@ void Engine::run_task(TaskKind kind, std::size_t task) {
                               good_mask_.data() + begin, end - begin);
       break;
     case TaskKind::kRoute:
-      route_range(begin, end, shards_[task].route_buf);
+      route_range(task, begin, end);
       break;
     case TaskKind::kMove:
       move_range(task, begin, end);
@@ -450,7 +450,7 @@ bool Engine::try_inject(net::NodeId src, net::NodeId dst) {
 // --- routing ---------------------------------------------------------------
 
 void Engine::route_node(net::NodeId node, const Bucket& residents,
-                        std::vector<Assignment>& out) {
+                        std::size_t& out) {
   HP_CHECK(static_cast<int>(residents.size()) <= arcs_.degree(node),
            "more packets at a node than its degree — model violation");
 
@@ -503,12 +503,13 @@ void Engine::route_node(net::NodeId node, const Bucket& residents,
     a.good_mask = views[i].good_mask;
     a.prev_advanced = views[i].prev_advanced;
     a.prev_num_good = views[i].prev_num_good;
-    out.push_back(a);
+    assignments_[out++] = a;
   }
 }
 
-void Engine::route_range(std::size_t begin, std::size_t end,
-                         std::vector<Assignment>& out) {
+void Engine::route_range(std::size_t task, std::size_t begin,
+                         std::size_t end) {
+  std::size_t out = route_base_[task];
   for (std::size_t i = begin; i < end; ++i) {
     const net::NodeId node = occupied_[i];
     Bucket& residents = occupancy_[static_cast<std::size_t>(node)];
@@ -526,22 +527,21 @@ void Engine::route_all() {
   run_sharded(TaskKind::kGoodMask, sub_tasks(slots, 2048), slots,
               obs::Phase::kRoute);
 
+  // Every in-flight packet sits in exactly one bucket, so the step makes
+  // `slots` assignments. A route task writes in place from its base, the
+  // residents of the nodes before its range: the serial sequence.
+  assignments_.resize(slots);
   const std::size_t m = occupied_.size();
   const std::size_t tasks = sub_tasks(m, 64);
-  if (tasks <= 1) {
-    // Inline routing: sharding only buys wall-clock, never changes
-    // results (per-task buffers concatenate to the serial sequence), so
-    // the cutover point is a pure tuning knob.
-    route_range(0, m, assignments_);
-    return;
+  route_base_.resize(tasks);
+  std::size_t base = 0;
+  for (std::size_t t = 0, i = 0; t < tasks; ++t) {
+    for (; i < m * t / tasks; ++i) {
+      base += occupancy_[static_cast<std::size_t>(occupied_[i])].size();
+    }
+    route_base_[t] = base;
   }
-  if (shards_.size() < tasks) shards_.resize(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) shards_[t].route_buf.clear();
   run_sharded(TaskKind::kRoute, tasks, m, obs::Phase::kRoute);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    assignments_.insert(assignments_.end(), shards_[t].route_buf.begin(),
-                        shards_[t].route_buf.end());
-  }
 }
 
 // --- apply -----------------------------------------------------------------
@@ -576,7 +576,7 @@ void Engine::move_range(std::size_t task, std::size_t begin,
 
 void Engine::apply_assignments() {
   const std::size_t count = assignments_.size();
-  const std::size_t tasks = std::max<std::size_t>(sub_tasks(count, 2048), 1);
+  const std::size_t tasks = sub_tasks(count, 2048);
   run_sharded(TaskKind::kMove, tasks, count, obs::Phase::kApply);
   // Serial epilogue: totals, then arrival removal. Concatenating per-task
   // arrival lists in task order reproduces assignment order exactly, so
@@ -601,7 +601,6 @@ void Engine::apply_assignments() {
 bool Engine::step() {
   if ((flight_.empty() && injector_ == nullptr) || livelocked_) return false;
 
-  assignments_.clear();
   step_arrivals_.clear();
   {
     obs::PhaseScope scope(profiler_.get(), obs::Phase::kOccupancy);

@@ -20,14 +20,14 @@
 //     good-direction masks, routing, and the movement half of apply all
 //     run as sharded epochs, while injection, arrival removal and
 //     observation stay serial. Every partition boundary that can reach the
-//     output is a pure function of problem state — occupancy ownership is
-//     keyed by node id over a shard count fixed at construction, and every
-//     other fan-out concatenates per-task buffers in task order, which
-//     reproduces the serial sequence exactly. Work-stealing (barrier
-//     tickets) decides only *which thread* executes a task, never what the
-//     task produces, so runs are bit-for-bit identical for every
-//     EngineConfig::num_threads, including 1. DESIGN.md §5 has the full
-//     argument.
+//     output is a pure function of problem state: occupancy ownership is
+//     keyed by node id over a shard count fixed at construction, route
+//     tasks write in place from bases summed along occupied_, and move
+//     tasks' arrival lists concatenate in task order, so each reproduces
+//     the serial sequence exactly. Work-stealing (barrier tickets) decides
+//     only *which thread* runs a task, never what it produces, so runs are
+//     bit-for-bit identical for every EngineConfig::num_threads,
+//     including 1. DESIGN.md §5 has the full argument.
 //   * Observers receive per-step spans (see observer.hpp): no per-step
 //     copies, no references to the delivered-packet archive.
 #pragma once
@@ -234,11 +234,10 @@ class Engine {
     kMove,       ///< apply movement for a contiguous assignment range
   };
 
-  /// Everything one task writes, on its own cache line(s). A task owns
-  /// exactly one ShardState between the epoch's open and close; the
+  /// Per-task outputs and counters, on their own cache line(s). A task
+  /// owns exactly one ShardState between the epoch's open and close; the
   /// barrier's release/acquire edges publish it back to the main thread.
   struct alignas(util::kCacheLineBytes) ShardState {
-    std::vector<Assignment> route_buf;    ///< kRoute output
     std::vector<net::NodeId> occ_nodes;   ///< kBucket output, first-seen order
     std::vector<PacketId> arrivals;       ///< kMove: packets that arrived
     std::uint64_t advances = 0;           ///< kMove counters
@@ -250,10 +249,8 @@ class Engine {
   void inject(const workload::Problem& problem);
   void build_occupancy();
   void route_all();
-  void route_range(std::size_t begin, std::size_t end,
-                   std::vector<Assignment>& out);
-  void route_node(net::NodeId node, const Bucket& residents,
-                  std::vector<Assignment>& out);
+  void route_range(std::size_t task, std::size_t begin, std::size_t end);
+  void route_node(net::NodeId node, const Bucket& residents, std::size_t& out);
   void apply_assignments();
   RunResult make_result();
 
@@ -280,7 +277,7 @@ class Engine {
   /// Task count for an output-invariant fan-out (good masks, routing,
   /// movement): enough tasks for the tickets to balance, never so many
   /// that per-task overhead dominates. The count can depend on the thread
-  /// count because these concatenations are partition-invariant.
+  /// count because these outputs are partition-invariant.
   std::size_t sub_tasks(std::size_t items, std::size_t grain) const;
 
   const net::Network& net_;
@@ -308,7 +305,9 @@ class Engine {
   // Per-step scratch, kept as members to avoid reallocation.
   std::vector<Bucket> occupancy_;      // node -> resident packets, id order
   std::vector<net::NodeId> occupied_;  // nodes with residents, owner-grouped
-  std::vector<Assignment> assignments_;
+  std::vector<Assignment> assignments_;  // the step's, in occupied_ order
+  /// Per route task: the assignments_ index its first node writes at.
+  std::vector<std::size_t> route_base_;
   std::vector<Packet> step_arrivals_;  // this step's arrival records
   /// Good-direction bitmask per flight slot, batch-computed once per step
   /// (policy_.batch_good_dirs over the dense pos/dst columns).

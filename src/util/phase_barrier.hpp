@@ -15,7 +15,7 @@
 //             (their boundaries never depend on the thread count); the
 //             ticket only decides which thread executes which shard, which
 //             is invisible in the output because every shard writes its own
-//             buffer and the main thread concatenates in shard order.
+//             range or buffer, placed or concatenated in shard order.
 //   active_   workers still inside the epoch. The last leave() wakes the
 //             main thread; close() returning is the moment every shard
 //             write is visible (release fetch_sub → acquire load).

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <set>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/livelock.hpp"
@@ -335,6 +336,54 @@ TEST(Engine, PacketResolvesThisStepsArrivalsWithOrWithoutArchive) {
     } else {
       EXPECT_THROW(engine.packet(lookup.first), CheckError);
     }
+  }
+}
+
+TEST(Engine, RouteTasksWriteTheStepsAssignmentsInPlace) {
+  // Route tasks write each node's assignments straight into the step's
+  // array, so no thread count keeps a second copy of it, and the sequence
+  // is the serial one. 3 packets/node on 16x16 stay under 1024 slots, so
+  // occupancy and move run serially, while 256 occupied nodes give 4
+  // route tasks at 4 threads.
+  net::Mesh mesh(2, 16);
+  Rng rng(7);
+  const auto problem = workload::saturated_random(mesh, 3, rng);
+
+  class Capture : public sim::StepObserver {
+   public:
+    void on_step(const sim::Engine& /*engine*/,
+                 const sim::StepRecord& record) override {
+      assignments.assign(record.assignments.begin(),
+                         record.assignments.end());
+    }
+    std::vector<sim::Assignment> assignments;
+  };
+  Capture capture[2];
+  std::size_t scratch[2] = {};
+  const int threads[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    FirstGoodPolicy policy;
+    sim::EngineConfig config;
+    config.num_threads = threads[k];
+    sim::Engine engine(mesh, problem, policy, config);
+    engine.add_observer(&capture[k]);
+    ASSERT_TRUE(engine.step());
+    scratch[k] = engine.memory_stats().scratch_bytes;
+  }
+
+  const auto& serial = capture[0].assignments;
+  const auto& sharded = capture[1].assignments;
+  ASSERT_GT(serial.size(), 700u);
+  EXPECT_LT(scratch[1], scratch[0] + serial.size() * sizeof(sim::Assignment));
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(serial[i].pkt, sharded[i].pkt);
+    EXPECT_EQ(serial[i].node, sharded[i].node);
+    EXPECT_EQ(serial[i].out, sharded[i].out);
+    EXPECT_EQ(serial[i].good_mask, sharded[i].good_mask);
+    EXPECT_EQ(serial[i].prev_advanced, sharded[i].prev_advanced);
+    EXPECT_EQ(serial[i].prev_num_good, sharded[i].prev_num_good);
   }
 }
 
