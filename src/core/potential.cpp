@@ -29,22 +29,25 @@ PotentialTracker::PotentialTracker(const net::Network& net,
       min_c_(std::numeric_limits<std::int64_t>::max()),
       min_phi_(std::numeric_limits<std::int64_t>::max()) {
   HP_REQUIRE(config_.c_init > 0, "c_init must be positive");
+  HP_REQUIRE(config_.c_init <= std::numeric_limits<std::int32_t>::max(),
+             "c_init must fit in 32 bits");
   HP_REQUIRE(config_.d >= 1, "dimension must be positive");
   HP_REQUIRE(engine.now() == 0,
              "PotentialTracker must be attached before the first step");
-  c_.assign(engine.num_packets(), config_.c_init);
-  for (const sim::Packet& p : engine.archive()) {
-    // Delivered at injection (src == dst): zero potential from the start.
-    c_[static_cast<std::size_t>(p.id)] = 0;
-  }
+  // Packets delivered at injection (src == dst) keep zero potential and
+  // never appear in an assignment.
+  state_.assign(engine.num_packets(), PacketState{});
+  const auto c_init = static_cast<std::int32_t>(config_.c_init);
   const sim::FlightTable& flight = engine.flight();
   for (sim::FlightTable::Slot s = 0; s < flight.end_slot(); ++s) {
+    state_[static_cast<std::size_t>(flight.id(s))] =
+        PacketState{flight.dst(s), c_init};
     phi_ += net_.distance(flight.pos(s), flight.dst(s)) + config_.c_init;
   }
   phi_series_.push_back(phi_);
 }
 
-void PotentialTracker::on_step(const sim::Engine& engine,
+void PotentialTracker::on_step(const sim::Engine& /*engine*/,
                                const sim::StepRecord& record) {
   const auto& as = record.assignments;
   const std::int64_t d = config_.d;
@@ -58,19 +61,21 @@ void PotentialTracker::on_step(const sim::Engine& engine,
 
     std::int64_t before = 0;
     std::int64_t after = 0;
-    InlineVector<std::int64_t, 2 * net::kMaxDim> new_c;
+    InlineVector<std::int32_t, 2 * net::kMaxDim> new_c;
 
     for (std::size_t i = group_begin; i < group_end; ++i) {
       const sim::Assignment& a = as[i];
-      HP_CHECK(static_cast<std::size_t>(a.pkt) < c_.size(),
+      HP_CHECK(static_cast<std::size_t>(a.pkt) < state_.size(),
                "packet injected after the tracker was attached — the "
                "potential analysis covers batch problems only");
-      const sim::Packet& p = engine.packet(a.pkt);
-      const std::int64_t c_old = c_[static_cast<std::size_t>(a.pkt)];
+      const PacketState& p = state_[static_cast<std::size_t>(a.pkt)];
+      const std::int64_t c_old = p.c;
       before += net_.distance(a.node, p.dst) + c_old;
+      const net::NodeId pos = net_.neighbor(a.node, a.out);
+      const bool arrived = pos == p.dst;
 
       std::int64_t c_next;
-      if (p.arrived()) {
+      if (arrived) {
         c_next = 0;  // rule 4
       } else if (type_a_after(a)) {
         // Rule 3: find the Type A packet p deflected, if any. "p deflected
@@ -83,7 +88,7 @@ void PotentialTracker::on_step(const sim::Engine& engine,
           if (j == i || q.advances() || !q.was_type_a()) continue;
           if ((q.good_mask >> a.out) & 1u) {
             ++victims;
-            victim_c = c_[static_cast<std::size_t>(q.pkt)];
+            victim_c = state_[static_cast<std::size_t>(q.pkt)].c;
           }
         }
         if (victims == 0) {
@@ -106,15 +111,19 @@ void PotentialTracker::on_step(const sim::Engine& engine,
             structure_violations_.push_back(os.str());
           }
         }
+        // C_p falls by 2 per step at most; only a run of about 2^30 Type A
+        // steps could leave the 32-bit range.
+        HP_CHECK(c_next >= std::numeric_limits<std::int32_t>::min(),
+                 "additional potential underflowed 32 bits");
       } else {
         c_next = config_.c_init;  // rule 2
       }
-      new_c.push_back(c_next);
+      new_c.push_back(static_cast<std::int32_t>(c_next));
 
       const std::int64_t phi_p =
-          p.arrived() ? 0 : net_.distance(p.pos, p.dst) + c_next;
+          arrived ? 0 : net_.distance(pos, p.dst) + c_next;
       after += phi_p;
-      if (!p.arrived()) {
+      if (!arrived) {
         min_c_ = std::min(min_c_, c_next);
         min_phi_ = std::min(min_phi_, phi_p);
         if (phi_p <= 0) {
@@ -136,7 +145,7 @@ void PotentialTracker::on_step(const sim::Engine& engine,
     // Commit the group's new C values (rule 3(b) reads pre-step values of
     // co-located packets, so writes must not interleave with reads).
     for (std::size_t i = group_begin; i < group_end; ++i) {
-      c_[static_cast<std::size_t>(as[i].pkt)] = new_c[i - group_begin];
+      state_[static_cast<std::size_t>(as[i].pkt)].c = new_c[i - group_begin];
     }
 
     // Property 8 (and Lemma 19 at d = 2).

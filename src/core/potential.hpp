@@ -24,6 +24,14 @@
 // Violations are recorded, never silently dropped; for algorithms in the
 // paper's class (greedy + prefers restricted packets, d = 2, c_init = 2n)
 // the test suite asserts there are none.
+//
+// The audit is record-only: a step's assignments (pre-move node, chosen
+// direction) and the tracker's own id-indexed state — each packet's
+// destination, cached at attach time, and its C_p — determine every
+// potential. The post-move node is neighbor(node, out), and a packet has
+// arrived exactly when that node is its destination. The tracker never
+// asks the engine for a packet record, so its result does not depend on
+// the engine's thread count or on EngineConfig::archive_arrivals.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +46,8 @@ namespace hp::core {
 class PotentialTracker : public sim::StepObserver {
  public:
   struct Config {
-    /// Initial / reset value of the additional potential C_p.
+    /// Initial / reset value of the additional potential C_p; must lie in
+    /// [1, INT32_MAX].
     std::int64_t c_init = 0;
     /// Mesh dimension d used by the Property 8 thresholds.
     int d = 2;
@@ -51,8 +60,9 @@ class PotentialTracker : public sim::StepObserver {
     std::int64_t required = 0;
   };
 
-  /// `net` must be the network the observed engine runs on. For the paper's
-  /// 2-D setting pass d = 2 and c_init = 2n.
+  /// `net` must be the network the observed engine runs on, and the engine
+  /// must not have stepped yet. For the paper's 2-D setting pass d = 2 and
+  /// c_init = 2n.
   PotentialTracker(const net::Network& net, const sim::Engine& engine,
                    Config config);
 
@@ -67,7 +77,7 @@ class PotentialTracker : public sim::StepObserver {
 
   /// Current additional potential of one packet.
   std::int64_t c_of(sim::PacketId id) const {
-    return c_[static_cast<std::size_t>(id)];
+    return state_[static_cast<std::size_t>(id)].c;
   }
 
   const std::vector<NodeViolation>& property8_violations() const {
@@ -89,9 +99,16 @@ class PotentialTracker : public sim::StepObserver {
   std::int64_t max_phi() const { return max_phi_; }
 
  private:
+  /// What the audit keeps per packet id: 8 B.
+  struct PacketState {
+    net::NodeId dst = net::kInvalidNode;
+    std::int32_t c = 0;  ///< C_p; zero once delivered
+  };
+  static_assert(sizeof(PacketState) == 8);
+
   const net::Network& net_;
   Config config_;
-  std::vector<std::int64_t> c_;
+  std::vector<PacketState> state_;
   std::int64_t phi_ = 0;
   std::vector<std::int64_t> phi_series_;
   std::vector<NodeViolation> property8_violations_;

@@ -14,6 +14,21 @@ CongestionSnapshot analyze_congestion(const net::Mesh& mesh,
   HP_REQUIRE(occupancy.size() == mesh.num_nodes(),
              "occupancy size must match node count");
   const int d = mesh.dim();
+  const int side = mesh.side();
+  const bool wrap = mesh.wraps();
+  // Definition 11 for the arc out of bad node v (coordinate `pos` on an
+  // axis of stride `stride`) in direction `sign`: a surface arc iff the
+  // arc or the 2-neighbor is missing, or the 2-neighbor is good. On the
+  // torus both always exist, two steps along the ring.
+  const auto is_surface = [&](net::NodeId v, int pos, net::NodeId stride,
+                              int sign) {
+    int two = pos + 2 * sign;  // the 2-neighbor's coordinate
+    if (two < 0 || two >= side) {
+      if (!wrap) return true;
+      two += two < 0 ? side : -side;
+    }
+    return occupancy[static_cast<std::size_t>(v + (two - pos) * stride)] <= d;
+  };
   CongestionSnapshot snap;
   for (net::NodeId v = 0; v < static_cast<net::NodeId>(mesh.num_nodes());
        ++v) {
@@ -24,19 +39,14 @@ CongestionSnapshot analyze_congestion(const net::Mesh& mesh,
     }
     snap.packets_in_bad += load;
     ++snap.bad_nodes;
-    // Count surface arcs out of this bad node (Definition 11). Every one
-    // of the 2d directions is considered; a missing arc ("out of the
-    // mesh") counts, as does a missing or good 2-neighbor.
-    for (net::Dir e = 0; e < mesh.num_dirs(); ++e) {
-      if (!mesh.arc_exists(v, e)) {
-        ++snap.surface_arcs;
-        continue;
-      }
-      const net::NodeId nn = mesh.two_neighbor(v, e);
-      if (nn == net::kInvalidNode ||
-          occupancy[static_cast<std::size_t>(nn)] <= d) {
-        ++snap.surface_arcs;
-      }
+    // Every one of the 2d directions is considered, from one coordinate
+    // decode of the node.
+    const net::Coord c = mesh.coords(v);
+    for (int axis = 0; axis < d; ++axis) {
+      const int pos = c[static_cast<std::size_t>(axis)];
+      const net::NodeId stride = mesh.stride(axis);
+      if (is_surface(v, pos, stride, +1)) ++snap.surface_arcs;
+      if (is_surface(v, pos, stride, -1)) ++snap.surface_arcs;
     }
   }
   return snap;

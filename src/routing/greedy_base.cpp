@@ -1,7 +1,5 @@
 #include "routing/greedy_base.hpp"
 
-#include <algorithm>
-
 #include "util/inline_vector.hpp"
 
 namespace hp::routing {
@@ -20,11 +18,16 @@ void PriorityGreedyPolicy::route(const sim::NodeContext& ctx,
   for (std::size_t i = 0; i < packets.size(); ++i) {
     ranks.push_back(rank(ctx, packets[i]));
   }
-  // Stable: ties keep the (possibly shuffled) preliminary order.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return ranks[a] < ranks[b];
-                   });
+  // Stable insertion sort (at most 2d entries, no scratch buffer): ties
+  // keep the (possibly shuffled) preliminary order.
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::size_t moving = order[i];
+    std::size_t j = i;
+    for (; j > 0 && ranks[moving] < ranks[order[j - 1]]; --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = moving;
+  }
 
   const std::span<const std::size_t> order_span(order.data(), order.size());
   if (options_.maximize_advancing) {

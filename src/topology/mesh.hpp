@@ -8,8 +8,14 @@
 // The mesh also exposes the 2-neighbor relation (Definition 4) and the 2^d
 // parity equivalence classes of its transitive closure, which the surface-
 // arc analysis of Section 3 relies on.
+//
+// A node id is its coordinate vector in base `side`, so every coordinate
+// decode divides by `side`. The mesh does that by multiplying with an exact
+// reciprocal taken once at construction, never with a divide instruction
+// (see div_side()).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "topology/network.hpp"
@@ -61,6 +67,9 @@ class Mesh : public Network {
   /// Coordinate of `node` along one axis, without materializing the vector.
   int coord(NodeId node, int axis) const;
 
+  /// Id offset of one step along `axis`: side^axis.
+  NodeId stride(int axis) const { return stride_[axis]; }
+
   /// The 2-neighbor of `node` in direction `dir` (Definition 4): the node
   /// two hops away along `dir`, or kInvalidNode if that walks off the mesh.
   /// Only meaningful for wrap=false (the analysis setting).
@@ -78,7 +87,29 @@ class Mesh : public Network {
   bool wrap_;
   std::size_t num_nodes_;
   // stride_[a] = side^a, so coordinate a of node v is (v / stride_[a]) % side.
-  std::int64_t stride_[kMaxDim];
+  NodeId stride_[kMaxDim];
+  // floor(v / side) = (v · side_mul_) >> side_shift_ for every v < 2^30
+  // (Lemire, Kaser & Kurz 2019). With L = ceil(log2 side) and
+  // side_mul_ = ceil(2^(30+L) / side), the rounding error
+  // e = side_mul_ · side − 2^(30+L) lies in [0, side), so v · e < 2^(30+L)
+  // and the shifted product never reaches the next integer. side ≥ 2 keeps
+  // side_mul_ ≤ 2^31, so v · side_mul_ < 2^61 fits a 64-bit product.
+  std::uint32_t side_mul_;
+  int side_shift_;
+
+  /// floor(v / side) for 0 ≤ v < 2^30 (every node id and every quotient
+  /// of one): a 32×32→64-bit multiply and a shift.
+  std::uint32_t div_side(std::uint32_t v) const {
+    return static_cast<std::uint32_t>((std::uint64_t{v} * side_mul_) >>
+                                      side_shift_);
+  }
+  /// Splits v into (v mod side, v / side): the low coordinate and the rest.
+  int pop_coord(std::uint32_t& v) const {
+    const std::uint32_t q = div_side(v);
+    const auto c = static_cast<int>(v - q * static_cast<std::uint32_t>(side_));
+    v = q;
+    return c;
+  }
 };
 
 }  // namespace hp::net

@@ -3,10 +3,19 @@
 // Lemma 12, for algorithms in the paper's class.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/potential.hpp"
 #include "core/surface.hpp"
+#include "routing/greedy_variants.hpp"
 #include "routing/restricted_priority.hpp"
 #include "test_support.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace hp {
@@ -219,6 +228,106 @@ INSTANTIATE_TEST_SUITE_P(
         routing::RestrictedPriorityPolicy::TieBreak::kRandom,
         routing::RestrictedPriorityPolicy::TieBreak::kTypeAFirst,
         routing::RestrictedPriorityPolicy::TieBreak::kTypeBFirst));
+
+/// Everything a PotentialTracker reports about one run.
+struct AuditOutcome {
+  std::vector<std::int64_t> phi;
+  std::int64_t min_slack = 0;
+  std::int64_t min_c = 0;
+  std::int64_t min_phi = 0;
+  std::int64_t max_phi = 0;
+  std::vector<std::tuple<std::uint64_t, net::NodeId, std::int64_t,
+                         std::int64_t>>
+      property8;
+  std::vector<std::string> structure;
+  std::vector<std::int64_t> c;  ///< c_of() of every packet at the end
+
+  bool operator==(const AuditOutcome&) const = default;
+};
+
+AuditOutcome audit_run(const net::Network& net,
+                       const workload::Problem& problem,
+                       sim::RoutingPolicy& policy,
+                       core::PotentialTracker::Config config, int threads,
+                       bool archive_arrivals) {
+  sim::EngineConfig engine_config;
+  engine_config.num_threads = threads;
+  engine_config.archive_arrivals = archive_arrivals;
+  engine_config.max_steps = 300;
+  sim::Engine engine(net, problem, policy, engine_config);
+  core::PotentialTracker tracker(net, engine, config);
+  engine.add_observer(&tracker);
+  engine.run();
+  AuditOutcome out;
+  out.phi = tracker.phi_series();
+  out.min_slack = tracker.min_slack();
+  out.min_c = tracker.min_c();
+  out.min_phi = tracker.min_phi();
+  out.max_phi = tracker.max_phi();
+  for (const auto& v : tracker.property8_violations()) {
+    out.property8.emplace_back(v.step, v.node, v.lost, v.required);
+  }
+  out.structure = tracker.structure_violations();
+  for (std::size_t id = 0; id < problem.size(); ++id) {
+    out.c.push_back(tracker.c_of(static_cast<sim::PacketId>(id)));
+  }
+  return out;
+}
+
+TEST(Potential, AuditIsRecordOnly) {
+  // The audit reads only the step record and its own per-packet state, so
+  // neither the thread count nor whether the engine keeps delivered
+  // records (without an archive the engine can only find an arrival by
+  // scanning the step's arrivals) may change a single reported value.
+  // Random-priority greedy on a 2-D mesh and the restricted policy on a
+  // 3-D mesh, below the paper's c_init, both break the analysis, so the
+  // violation lists are compared too, not just found empty.
+  Rng rng(77);
+  const net::Mesh mesh2(2, 10);
+  const auto problem2 = workload::random_many_to_many(mesh2, 300, rng);
+  const net::Mesh mesh3(3, 5);
+  const auto problem3 = workload::random_many_to_many(mesh3, 400, rng);
+  core::PotentialTracker::Config config3;
+  config3.c_init = 3;
+  config3.d = 3;
+
+  routing::GreedyRandomPolicy random_policy;
+  routing::RestrictedPriorityPolicy restricted_policy;
+  const auto check = [](const net::Mesh& mesh,
+                        const workload::Problem& problem,
+                        sim::RoutingPolicy& policy,
+                        core::PotentialTracker::Config config) {
+    const AuditOutcome reference =
+        audit_run(mesh, problem, policy, config, 1, true);
+    EXPECT_FALSE(reference.property8.empty() && reference.structure.empty())
+        << mesh.name() << ": the run exercises no violation list";
+    for (const int threads : {1, 2, 4}) {
+      for (const bool archive : {true, false}) {
+        SCOPED_TRACE(mesh.name() + " threads " + std::to_string(threads) +
+                     (archive ? " archive" : " no archive"));
+        EXPECT_TRUE(audit_run(mesh, problem, policy, config, threads,
+                              archive) == reference);
+      }
+    }
+  };
+  check(mesh2, problem2, random_policy, config_2d(mesh2));
+  check(mesh3, problem3, restricted_policy, config3);
+}
+
+TEST(Potential, RejectsCInitOutside32Bits) {
+  net::Mesh mesh(2, 4);
+  auto problem = make_problem({{0, 5}});
+  routing::RestrictedPriorityPolicy policy;
+  sim::Engine engine(mesh, problem, policy);
+  core::PotentialTracker::Config config;
+  config.c_init = std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+  EXPECT_THROW(core::PotentialTracker(mesh, engine, config), CheckError);
+  config.c_init = 0;
+  EXPECT_THROW(core::PotentialTracker(mesh, engine, config), CheckError);
+  config.c_init = std::numeric_limits<std::int32_t>::max();
+  const core::PotentialTracker widest(mesh, engine, config);
+  EXPECT_EQ(widest.c_of(0), std::numeric_limits<std::int32_t>::max());
+}
 
 TEST(Lemma12Check, FlagsViolations) {
   // Synthetic series: Φ = 10, 9, 9, 9 with F(0) = 3 ⇒ Φ(2) > Φ(0) − 3.

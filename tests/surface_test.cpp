@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/surface.hpp"
 #include "routing/restricted_priority.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace hp {
@@ -94,6 +98,60 @@ TEST(Surface, BadBlockScalesLikePerimeter) {
   // Lemma 14: F ≥ (2d)^{1/d} B^{(d−1)/d} with B = 4s².
   EXPECT_GE(static_cast<double>(snap.surface_arcs),
             core::lemma14_bound(2, static_cast<double>(snap.packets_in_bad)));
+}
+
+/// Definition 11 probed one direction at a time through arc_exists() and
+/// two_neighbor(): the count analyze_congestion() takes in closed form.
+core::CongestionSnapshot probe_congestion(const net::Mesh& mesh,
+                                          const std::vector<int>& occ) {
+  const int d = mesh.dim();
+  core::CongestionSnapshot snap;
+  for (net::NodeId v = 0; v < static_cast<net::NodeId>(mesh.num_nodes());
+       ++v) {
+    const int load = occ[static_cast<std::size_t>(v)];
+    if (load <= d) {
+      snap.packets_in_good += load;
+      continue;
+    }
+    snap.packets_in_bad += load;
+    ++snap.bad_nodes;
+    for (net::Dir e = 0; e < mesh.num_dirs(); ++e) {
+      const net::NodeId nn = mesh.two_neighbor(v, e);
+      if (!mesh.arc_exists(v, e) || nn == net::kInvalidNode ||
+          occ[static_cast<std::size_t>(nn)] <= d) {
+        ++snap.surface_arcs;
+      }
+    }
+  }
+  return snap;
+}
+
+TEST(Surface, ClosedFormMatchesPerDirectionProbes) {
+  Rng rng(1411);
+  for (int dim = 1; dim <= 4; ++dim) {
+    for (const int side : {2, 3, 4, 5, 7}) {
+      for (const bool wrap : {false, true}) {
+        const net::Mesh mesh(dim, side, wrap);
+        for (int trial = 0; trial < 6; ++trial) {
+          SCOPED_TRACE(mesh.name() + " trial " + std::to_string(trial));
+          // Denser occupancies as the trial grows: from isolated bad
+          // nodes to nearly every node bad.
+          std::vector<int> occ(mesh.num_nodes());
+          for (int& load : occ) {
+            load = rng.uniform(6) < static_cast<std::uint64_t>(trial)
+                       ? static_cast<int>(rng.uniform(2 * dim + 2))
+                       : 0;
+          }
+          const auto got = core::analyze_congestion(mesh, occ);
+          const auto want = probe_congestion(mesh, occ);
+          EXPECT_EQ(got.packets_in_bad, want.packets_in_bad);
+          EXPECT_EQ(got.packets_in_good, want.packets_in_good);
+          EXPECT_EQ(got.bad_nodes, want.bad_nodes);
+          EXPECT_EQ(got.surface_arcs, want.surface_arcs);
+        }
+      }
+    }
+  }
 }
 
 TEST(Surface, Lemma14BoundValues) {

@@ -3,7 +3,10 @@
 // classes (Definition 4, Figure 2), torus wrap, and the hypercube.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +17,7 @@
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace hp::net {
 namespace {
@@ -225,6 +229,133 @@ TEST(Mesh, RejectsBadParameters) {
   EXPECT_THROW(Mesh(0, 4), CheckError);
   EXPECT_THROW(Mesh(9, 4), CheckError);
   EXPECT_THROW(Mesh(2, 1), CheckError);
+}
+
+// A plain-division model of the mesh: node ids decoded with / and % in
+// 64 bits, the arithmetic Mesh replaces with its exact reciprocal.
+struct DivisionMesh {
+  int dim;
+  std::int64_t side;
+  bool wrap;
+
+  std::int64_t stride(int axis) const {
+    std::int64_t s = 1;
+    for (int a = 0; a < axis; ++a) s *= side;
+    return s;
+  }
+  int coord(std::int64_t v, int axis) const {
+    return static_cast<int>((v / stride(axis)) % side);
+  }
+  std::int64_t neighbor(std::int64_t v, Dir dir) const {
+    const int axis = dir / 2;
+    const std::int64_t pos = coord(v, axis);
+    std::int64_t next = pos + (dir % 2 == 0 ? 1 : -1);
+    if (next < 0 || next >= side) {
+      if (!wrap) return kInvalidNode;
+      next = (next + side) % side;
+    }
+    return v + (next - pos) * stride(axis);
+  }
+  std::int64_t two_neighbor(std::int64_t v, Dir dir) const {
+    const std::int64_t mid = neighbor(v, dir);
+    return mid == kInvalidNode ? kInvalidNode : neighbor(mid, dir);
+  }
+  int distance(std::int64_t a, std::int64_t b) const {
+    int total = 0;
+    for (int axis = 0; axis < dim; ++axis) {
+      int delta = std::abs(coord(a, axis) - coord(b, axis));
+      if (wrap) delta = std::min(delta, static_cast<int>(side) - delta);
+      total += delta;
+    }
+    return total;
+  }
+  int degree(std::int64_t v) const {
+    int deg = 0;
+    for (Dir d = 0; d < 2 * dim; ++d) deg += neighbor(v, d) != kInvalidNode;
+    return deg;
+  }
+  int parity_class(std::int64_t v) const {
+    int cls = 0;
+    for (int axis = 0; axis < dim; ++axis) cls |= (coord(v, axis) & 1) << axis;
+    return cls;
+  }
+  std::uint32_t good_mask(std::int64_t at, std::int64_t dst) const {
+    std::uint32_t mask = 0;
+    for (Dir d = 0; d < 2 * dim; ++d) {
+      const std::int64_t nb = neighbor(at, d);
+      if (nb != kInvalidNode && distance(nb, dst) < distance(at, dst)) {
+        mask |= std::uint32_t{1} << d;
+      }
+    }
+    return mask;
+  }
+};
+
+/// The largest side a d-dimensional mesh may have under the 2^30-node cap.
+int largest_side(int dim) {
+  int side = 2;
+  while (true) {
+    std::int64_t nodes = 1;
+    for (int a = 0; a < dim; ++a) nodes *= side + 1;
+    if (nodes > (std::int64_t{1} << 30)) return side;
+    ++side;
+  }
+}
+
+TEST(Mesh, ReciprocalMatchesPlainDivision) {
+  Rng rng(20190205);
+  for (int dim = 1; dim <= kMaxDim; ++dim) {
+    const int top = largest_side(dim);
+    std::set<int> sides{2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257,
+                        1023, 1024, 32767, 32768, top - 1, top};
+    for (const int side : sides) {
+      if (side < 2 || side > top) continue;
+      for (const bool wrap : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "d=" << dim << " side=" << side
+                                          << " wrap=" << wrap);
+        const Mesh mesh(dim, side, wrap);
+        const DivisionMesh ref{dim, side, wrap};
+        const auto nodes = static_cast<std::int64_t>(mesh.num_nodes());
+        std::vector<NodeId> ids{0, static_cast<NodeId>(side - 1),
+                                static_cast<NodeId>(nodes - 1),
+                                static_cast<NodeId>(nodes - side)};
+        for (int i = 0; i < 32; ++i) {
+          // A random id, and the last id of its axis-0 row: remainder
+          // side − 1 is where a too-coarse reciprocal rounds up first.
+          const auto v = static_cast<std::int64_t>(
+              rng.uniform(static_cast<std::uint64_t>(nodes)));
+          ids.push_back(static_cast<NodeId>(v));
+          ids.push_back(static_cast<NodeId>(v - v % side + side - 1));
+        }
+        std::vector<NodeId> at;
+        std::vector<NodeId> dst;
+        for (const NodeId v : ids) {
+          for (int axis = 0; axis < dim; ++axis) {
+            ASSERT_EQ(mesh.coord(v, axis), ref.coord(v, axis)) << v;
+          }
+          ASSERT_EQ(mesh.degree(v), ref.degree(v)) << v;
+          ASSERT_EQ(mesh.parity_class(v), ref.parity_class(v)) << v;
+          for (Dir d = 0; d < mesh.num_dirs(); ++d) {
+            ASSERT_EQ(mesh.neighbor(v, d), ref.neighbor(v, d)) << v;
+            ASSERT_EQ(mesh.two_neighbor(v, d), ref.two_neighbor(v, d)) << v;
+          }
+          for (const NodeId w :
+               {ids[0], ids[2], ids[ids.size() / 2], ids.back()}) {
+            ASSERT_EQ(mesh.distance(v, w), ref.distance(v, w))
+                << v << ", " << w;
+            at.push_back(v);
+            dst.push_back(w);
+          }
+        }
+        std::vector<std::uint32_t> masks(at.size());
+        mesh.good_masks(at.data(), dst.data(), masks.data(), at.size());
+        for (std::size_t i = 0; i < at.size(); ++i) {
+          ASSERT_EQ(masks[i], ref.good_mask(at[i], dst[i]))
+              << at[i] << " -> " << dst[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(Hypercube, BasicStructure) {
